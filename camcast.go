@@ -376,6 +376,7 @@ func (n *Network) Transport() *transport.Network { return n.tr }
 type CountersSnapshot struct {
 	ForwardAcked    uint64 `json:"forward_acked"`    // child sends acknowledged
 	ForwardRetries  uint64 `json:"forward_retries"`  // send retries after a failure
+	ForwardRerouted uint64 `json:"forward_rerouted"` // stale table slots routed around by a lookup
 	ForwardRepaired uint64 `json:"forward_repaired"` // orphan segments handed to a live node
 	ForwardLost     uint64 `json:"forward_lost"`     // segments abandoned after repair failed
 }
@@ -388,6 +389,7 @@ func (n *Network) CountersSnapshot() CountersSnapshot {
 		snap := g.CountersSnapshot()
 		total.ForwardAcked += snap.ForwardAcked
 		total.ForwardRetries += snap.ForwardRetries
+		total.ForwardRerouted += snap.ForwardRerouted
 		total.ForwardRepaired += snap.ForwardRepaired
 		total.ForwardLost += snap.ForwardLost
 	}

@@ -142,7 +142,7 @@ func run(args []string, out io.Writer) error {
 		*initial, *events, *join*100, *crash*100, *capLo, *capHi, *trans)
 
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "system\tmaintenance budget\tmean delivery\tmin delivery\tring correct\tjoin ms p50/p95/p99\tleave ms p50/p95/p99\tmcast ms p50/p95/p99\tlookup hops p50/p95/p99\ttable faults\tduplicates\tretries\trepaired\tlost")
+	fmt.Fprintln(w, "system\tmaintenance budget\tmean delivery\tmin delivery\tring correct\tjoin ms p50/p95/p99\tleave ms p50/p95/p99\tmcast ms p50/p95/p99\tlookup hops p50/p95/p99\ttable faults\tduplicates\tretries\trerouted\trepaired\tlost")
 	for _, mode := range []runtime.Mode{runtime.ModeCAMChord, runtime.ModeCAMKoorde} {
 		for _, budget := range []int{4, 2, 1, 0} {
 			// Latency percentiles come from the run's obsv histograms:
@@ -176,7 +176,7 @@ func run(args []string, out io.Writer) error {
 				label = "none (fastest churn)"
 			}
 			hists := rowReg.Snapshot().Histograms
-			fmt.Fprintf(w, "%v\t%s\t%.1f%%\t%.1f%%\t%.0f%%\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\n",
+			fmt.Fprintf(w, "%v\t%s\t%.1f%%\t%.1f%%\t%.0f%%\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
 				mode, label, res.MeanDelivery*100, res.MinDelivery*100,
 				res.RingCorrect*100,
 				quantileTriple(hists[obsv.MetricJoinTime]),
@@ -184,7 +184,7 @@ func run(args []string, out io.Writer) error {
 				quantileTriple(hists[obsv.MetricMulticastTime]),
 				hopsTriple(hists[obsv.MetricLookupHops]),
 				res.TableFaults, res.Duplicates,
-				res.Retries, res.SegmentsRepaired, res.SegmentsLost)
+				res.Retries, res.Rerouted, res.SegmentsRepaired, res.SegmentsLost)
 		}
 	}
 	return w.Flush()

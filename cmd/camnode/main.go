@@ -79,6 +79,10 @@ type session struct {
 	grp      group
 	protocol camcast.Protocol
 	out      io.Writer
+
+	// deliverMu serializes delivery lines: a multicast's fan-out delivers
+	// to several members concurrently, and out is not safe for that.
+	deliverMu sync.Mutex
 }
 
 func run(protocolName string, tcp bool, codec, debugAddr string, in io.Reader, out io.Writer) error {
@@ -200,6 +204,8 @@ func (s *session) options(addr string, capacity int) camcast.Options {
 		Stabilize: -1, // the REPL drives maintenance via 'settle'
 		Fix:       -1,
 		OnDeliver: func(m camcast.Message) {
+			s.deliverMu.Lock()
+			defer s.deliverMu.Unlock()
 			fmt.Fprintf(s.out, "  [%s] %s: %s (%d hops)\n", addr, m.From, m.Payload, m.Hops)
 		},
 	}
@@ -354,8 +360,8 @@ func (s *session) stats(args []string) error {
 	st := m.Stats()
 	fmt.Fprintf(s.out, "  delivered=%d forwarded=%d duplicates=%d lookups=%d table-faults=%d\n",
 		st.Delivered, st.Forwarded, st.Duplicates, st.Lookups, st.TableFaults)
-	fmt.Fprintf(s.out, "  acked=%d retries=%d repaired=%d lost=%d\n",
-		st.ChildrenAcked, st.Retries, st.SegmentsRepaired, st.SegmentsLost)
+	fmt.Fprintf(s.out, "  acked=%d retries=%d rerouted=%d repaired=%d lost=%d\n",
+		st.ChildrenAcked, st.Retries, st.Rerouted, st.SegmentsRepaired, st.SegmentsLost)
 	return nil
 }
 

@@ -229,6 +229,7 @@ func (g *Group) CountersSnapshot() CountersSnapshot {
 	return CountersSnapshot{
 		ForwardAcked:    snap[metrics.CounterForwardAcked],
 		ForwardRetries:  snap[metrics.CounterForwardRetries],
+		ForwardRerouted: snap[metrics.CounterForwardRerouted],
 		ForwardRepaired: snap[metrics.CounterForwardRepaired],
 		ForwardLost:     snap[metrics.CounterForwardLost],
 	}

@@ -159,6 +159,7 @@ type Result struct {
 	// the delivery ratio was earned by the retry/repair engine, and how
 	// much was genuinely abandoned.
 	Retries          uint64
+	Rerouted         uint64
 	SegmentsRepaired uint64
 	SegmentsLost     uint64
 }
@@ -581,6 +582,7 @@ func Run(cfg Config) (Result, error) {
 		res.TableFaults += st.TableFaults
 		res.Forwarded += st.Forwarded
 		res.Retries += st.Retries
+		res.Rerouted += st.Rerouted
 		res.SegmentsRepaired += st.SegmentsRepaired
 		res.SegmentsLost += st.SegmentsLost
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"camcast/internal/workload"
 )
@@ -32,10 +33,28 @@ func TestForEachPointReturnsFirstError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var calls atomic.Int32
+		// Points after the failing one cannot complete until it has
+		// returned its error: without this ordering a parallel pool may
+		// finish every other point before the worker holding point 3 even
+		// runs, and the sweep would legitimately visit all 100. The pool
+		// records the error only after the callback returns, so a point a
+		// worker claims on a second round past the failure — which only
+		// happens if it beats that bookkeeping — also waits a grace period,
+		// long enough for the failure to land without letting a pool that
+		// never stops pass.
+		failed := make(chan struct{})
 		err := forEachPoint(workers, 100, func(i int) error {
 			calls.Add(1)
-			if i == 3 {
-				return fmt.Errorf("point %d: %w", i, sentinel)
+			switch {
+			case i == 3:
+				err := fmt.Errorf("point %d: %w", i, sentinel)
+				close(failed)
+				return err
+			case i > 3+workers:
+				<-failed
+				time.Sleep(50 * time.Millisecond)
+			case i > 3:
+				<-failed
 			}
 			return nil
 		})
@@ -43,10 +62,13 @@ func TestForEachPointReturnsFirstError(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want wrapped sentinel", workers, err)
 		}
 		// The pool abandons remaining points after a failure; with workers=1
-		// exactly 4 calls happen, in parallel a few in-flight points may
-		// still finish.
+		// exactly 4 calls happen, in parallel the points already in flight
+		// when the failure lands may still finish.
 		if got := calls.Load(); got == 100 {
 			t.Errorf("workers=%d: error did not stop the sweep", workers)
+		}
+		if got := calls.Load(); workers == 1 && got != 4 {
+			t.Errorf("workers=1: %d calls, want 4", got)
 		}
 	}
 }

@@ -148,6 +148,7 @@ type Counters struct {
 const (
 	CounterForwardAcked    = "forward.acked"    // child sends acknowledged
 	CounterForwardRetries  = "forward.retries"  // send retries after a failure
+	CounterForwardRerouted = "forward.rerouted" // stale table slots routed around by a lookup
 	CounterForwardRepaired = "forward.repaired" // orphan segments handed to a live node
 	CounterForwardLost     = "forward.lost"     // segments abandoned after repair failed
 )

@@ -29,6 +29,7 @@ const (
 	// Runtime protocol layer (internal/runtime).
 	MetricForwardAcked    = "runtime.forward.acked"            // counter: child sends acknowledged
 	MetricForwardRetries  = "runtime.forward.retries"          // counter: child sends retried
+	MetricForwardRerouted = "runtime.forward.rerouted"         // counter: segments whose stale table slot a lookup routed around to a live child
 	MetricForwardRepaired = "runtime.forward.repaired"         // counter: orphan segments handed to a live node
 	MetricForwardLost     = "runtime.forward.lost"             // counter: segments abandoned
 	MetricDuplicates      = "runtime.duplicates"               // counter: duplicate deliveries/offers suppressed

@@ -19,6 +19,7 @@ type CountersSnapshot struct {
 
 	ChildrenAcked    uint64 `json:"children_acked"`
 	Retries          uint64 `json:"retries"`
+	Rerouted         uint64 `json:"rerouted"`
 	SegmentsRepaired uint64 `json:"segments_repaired"`
 	SegmentsLost     uint64 `json:"segments_lost"`
 }
@@ -26,9 +27,9 @@ type CountersSnapshot struct {
 // String renders the snapshot as a compact single line.
 func (c CountersSnapshot) String() string {
 	return fmt.Sprintf(
-		"delivered=%d forwarded=%d duplicates=%d lookups=%d table_faults=%d acked=%d retries=%d repaired=%d lost=%d",
+		"delivered=%d forwarded=%d duplicates=%d lookups=%d table_faults=%d acked=%d retries=%d rerouted=%d repaired=%d lost=%d",
 		c.Delivered, c.Forwarded, c.Duplicates, c.Lookups, c.TableFaults,
-		c.ChildrenAcked, c.Retries, c.SegmentsRepaired, c.SegmentsLost)
+		c.ChildrenAcked, c.Retries, c.Rerouted, c.SegmentsRepaired, c.SegmentsLost)
 }
 
 // TraceEvent is one protocol event observed during replay: the obsv bus

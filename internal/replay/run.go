@@ -268,6 +268,7 @@ func Run(log *Log) (*Outcome, error) {
 		out.Counters.TableFaults += st.TableFaults
 		out.Counters.ChildrenAcked += st.ChildrenAcked
 		out.Counters.Retries += st.Retries
+		out.Counters.Rerouted += st.Rerouted
 		out.Counters.SegmentsRepaired += st.SegmentsRepaired
 		out.Counters.SegmentsLost += st.SegmentsLost
 	}

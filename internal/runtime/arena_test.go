@@ -192,7 +192,7 @@ func TestArenaConcurrentReadsDuringBulkInstall(t *testing.T) {
 				n := nodes[r*31%len(nodes)]
 				n.SuccessorList()
 				n.Predecessor()
-				n.tableSnapshot()
+				slotTable(n)
 			}
 		}(r)
 	}

@@ -240,7 +240,7 @@ func TestBulkEquivalence(t *testing.T) {
 				}
 				var b strings.Builder
 				for _, v := range nodes {
-					for _, e := range v.tableSnapshot() {
+					for _, e := range slotTable(v) {
 						b.WriteString(e.Addr)
 						b.WriteByte(',')
 					}
@@ -274,7 +274,7 @@ func TestBulkEquivalence(t *testing.T) {
 						t.Fatalf("%s successor[%d]: bulk %+v, incremental %+v", m.addr, i, bs[i], is[i])
 					}
 				}
-				bt, it := bn.tableSnapshot(), in.tableSnapshot()
+				bt, it := slotTable(bn), slotTable(in)
 				if len(bt) != len(it) {
 					t.Fatalf("%s table size: bulk %d, incremental %d", m.addr, len(bt), len(it))
 				}
@@ -335,7 +335,7 @@ func TestBulkInstallSmallRing(t *testing.T) {
 				t.Fatalf("%s successor[%d] = %+v, want %+v", n.Self().Addr, j, s, want)
 			}
 		}
-		for s, got := range n.tableSnapshot() {
+		for s, got := range slotTable(n) {
 			if want := succOf(n.spec.id(space, n.Self().ID, s)); got != want {
 				t.Fatalf("%s slot %d = %+v, want %+v", n.Self().Addr, s, got, want)
 			}
@@ -424,4 +424,16 @@ func TestBulkInstallValidation(t *testing.T) {
 	if err := BulkInstall([]*Node{n1, n2}, BulkOptions{}); err == nil {
 		t.Error("identifier collision accepted")
 	}
+}
+
+// slotTable resolves a node's current slot contents, indexed like its
+// tableSpec; unfilled slots are zero NodeInfos.
+func slotTable(n *Node) []NodeInfo {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]NodeInfo, len(n.slotRefs))
+	for i, ref := range n.slotRefs {
+		out[i] = n.arena.Resolve(ref)
+	}
+	return out
 }

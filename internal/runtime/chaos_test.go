@@ -31,7 +31,7 @@ func sumStats(nodes []*Node, f func(Stats) uint64) uint64 {
 // seeded FaultPlan killing 10% of the members (2 of 20) the moment the
 // multicast starts disseminating, and the assertion that every survivor
 // still receives the message exactly once with no segment reported lost —
-// the repair machinery covered every orphan.
+// the retry, repair and reroute machinery covered every orphan.
 func runCrashChaos(t *testing.T, mode Mode, capacity int) {
 	t.Helper()
 	c := newCluster(t, mode, 16)
@@ -74,8 +74,13 @@ func runCrashChaos(t *testing.T, mode Mode, capacity int) {
 	if lost := sumStats(c.live(), func(s Stats) uint64 { return s.SegmentsLost }); lost != 0 {
 		t.Errorf("segmentsLost = %d after repair, want 0", lost)
 	}
-	if engaged := sumStats(c.live(), func(s Stats) uint64 { return s.Retries + s.SegmentsRepaired }); engaged == 0 {
-		t.Error("crash chaos run never engaged the retry/repair machinery")
+	// The crash must be absorbed by the forwarding engine, and visibly: by a
+	// retry, a repair handoff, or an on-demand lookup that routed a segment
+	// around a dead member's stale table slot. Which of the three absorbs
+	// it depends on how far the dissemination got before the crash, which
+	// is scheduling-dependent.
+	if engaged := sumStats(c.live(), func(s Stats) uint64 { return s.Retries + s.SegmentsRepaired + s.Rerouted }); engaged == 0 {
+		t.Error("crash chaos run never engaged the retry/repair/reroute machinery")
 	}
 }
 

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"math"
-	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,24 +10,28 @@ import (
 	"camcast/internal/metrics"
 	"camcast/internal/ring"
 	"camcast/internal/trace"
+	"camcast/internal/transport"
 )
 
 // This file is the resilient forwarding engine shared by both CAM modes:
 // concurrent child fan-out with per-child deadlines, bounded retry with
 // exponential backoff and jitter, and orphan-segment repair. The dispatch
-// plan for a message is computed first (pure ring arithmetic), then every
-// child send runs on its own goroutine under a per-fan-out in-flight limit,
-// so one dead or slow child delays only its own segment, never its
-// siblings. The limit is scoped to one fan-out rather than the whole node:
-// repair handoffs can re-enter spreadSegment on a node whose earlier
-// fan-out is still blocked, and a node-wide semaphore would deadlock there.
+// plan for a message is computed first (pure ring arithmetic, plus one
+// locked read of the table slots it names), then the child sends run
+// concurrently under a per-fan-out in-flight limit, so one dead or slow
+// child delays only its own segment, never its siblings. The limit is
+// scoped to one fan-out rather than the whole node: repair handoffs can
+// re-enter spreadSegment on a node whose earlier fan-out is still blocked,
+// and a node-wide semaphore would deadlock there.
 
 // childPlan is one entry of a CAM-Chord dispatch plan: the target
-// identifier y whose successor becomes the child, the table slot expected
-// to hold it, and the end of the segment (child, segEnd] delegated to it.
+// identifier y whose successor becomes the child, the table slot's
+// contents when the plan was made (zero for the successor entry or an
+// unfilled slot), and the end of the segment (child, segEnd] delegated to
+// it.
 type childPlan struct {
 	y       ring.ID
-	key     tableKey
+	slot    NodeInfo
 	viaSucc bool
 	segEnd  ring.ID
 }
@@ -37,25 +40,36 @@ type childPlan struct {
 // static algorithm in internal/camchord: level-i neighbors preceding k,
 // then evenly spaced level-(i-1) children, then the successor. Segment
 // boundaries depend only on ring arithmetic, never on send outcomes, so
-// the plan can be dispatched concurrently.
-func (n *Node) planSegments(k ring.ID) []childPlan {
+// the plan can be dispatched concurrently. Each planned slot — at most c_x
+// of them — is resolved as it is planned, all under one lock, so a hop
+// reads only the table entries it uses instead of copying the whole table.
+// The plan is appended to dst.
+func (n *Node) planSegments(dst []childPlan, k ring.ID) []childPlan {
 	s := n.space
 	x := n.self.ID
 	c := uint64(n.cfg.Capacity)
 	if s.Dist(x, k) == 0 {
-		return nil
+		return dst
 	}
 
 	kk := k
-	var plan []childPlan
+	plan := dst
 	add := func(y ring.ID, key tableKey, viaSucc bool) {
 		if s.Dist(x, kk) == 0 || !s.InOC(y, x, kk) {
 			return
 		}
-		plan = append(plan, childPlan{y: y, key: key, viaSucc: viaSucc, segEnd: kk})
+		cp := childPlan{y: y, viaSucc: viaSucc, segEnd: kk}
+		if !viaSucc {
+			if idx, ok := n.spec.slotIndex(key); ok && idx < len(n.slotRefs) {
+				cp.slot = n.arena.Resolve(n.slotRefs[idx])
+			}
+		}
+		plan = append(plan, cp)
 		kk = s.Sub(y, 1)
 	}
 
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	level, seq, pow := s.LevelSeq(x, k, c)
 	// Level-i neighbors preceding k (Lines 6-9).
 	for m := seq; m >= 1; m-- {
@@ -81,118 +95,80 @@ func (n *Node) planSegments(k ring.ID) []childPlan {
 	return plan
 }
 
-// fanOut runs one task per item concurrently, bounded by ForwardParallel
-// in flight at once (ForwardParallel-1 pool lanes plus the caller's own
-// goroutine), and waits for all of them. With ForwardParallel == 1
-// (Config.ForwardParallel < 0) the tasks run inline in plan order on the
+// fanItems is a fan-out's work: item i is one child send.
+type fanItems interface{ fanItem(i int) }
+
+// fanFunc adapts a closure to fanItems, for fan-outs off the relay hot path.
+type fanFunc func(i int)
+
+func (f fanFunc) fanItem(i int) { f(i) }
+
+// fan is one concurrent fan-out in flight. Lanes — the caller's goroutine
+// plus up to ForwardParallel-1 pool workers — claim item indexes from next
+// until none remain, so the fan-out costs one recycled fan, not a closure
+// and a goroutine handoff per child.
+type fan struct {
+	items fanItems
+	count int32
+	next  atomic.Int32
+	lanes sync.WaitGroup
+}
+
+var fans = sync.Pool{New: func() any { return new(fan) }}
+
+// Run is a pool lane: drain items, then report done.
+func (f *fan) Run() {
+	f.drain()
+	f.lanes.Done()
+}
+
+func (f *fan) drain() {
+	for {
+		i := f.next.Add(1) - 1
+		if i >= f.count {
+			return
+		}
+		f.items.fanItem(int(i))
+	}
+}
+
+// fanOut runs items 0..count-1 concurrently, bounded by ForwardParallel
+// in flight at once, and waits for all of them. With ForwardParallel == 1
+// (Config.ForwardParallel < 0) the items run inline in plan order on the
 // caller's goroutine: a pool of one would serialize them too, but in
 // scheduler order rather than plan order, and the deterministic replay
 // engine (internal/replay) depends on a serialized node behaving
 // identically from run to run.
 //
-// The parallel path hands tasks to a process-wide pool of warm workers
-// rather than spawning a goroutine per child: a child send's call chain
-// (forward -> flow -> mux -> frame writer -> socket) outgrows a fresh
-// goroutine's initial stack, and the per-spawn stack copies were the
-// dominant cost of high-fan-out dissemination over TCP. Handoff is
-// non-blocking — with no lane free the caller runs the task itself — so a
+// Extra lanes run on the process-wide warm worker pool (transport.TryGo)
+// rather than on fresh goroutines: a child send's call chain (forward ->
+// flow -> mux -> frame writer -> socket) outgrows a fresh goroutine's
+// initial stack, and the per-spawn stack copies were the dominant cost of
+// high-fan-out dissemination over TCP. Handoff is non-blocking — with no
+// worker free the caller's own lane simply takes more of the items — so a
 // nested fan-out (a member of the same process forwarding onward) degrades
 // to inline execution instead of deadlocking the shared pool.
-func (n *Node) fanOut(count int, task func(i int)) {
-	if count == 1 {
-		task(0)
-		return
-	}
-	if n.cfg.ForwardParallel <= 1 {
+func (n *Node) fanOut(count int, items fanItems) {
+	if count == 1 || n.cfg.ForwardParallel <= 1 {
 		for i := 0; i < count; i++ {
-			task(i)
+			items.fanItem(i)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	pooled := 0
-	for i := 1; i < count; i++ {
-		f := func() {
-			defer wg.Done()
-			task(i)
-		}
-		wg.Add(1)
-		if pooled < n.cfg.ForwardParallel-1 && fwdPool.submit(f) {
-			pooled++
-		} else {
-			f()
+	f := fans.Get().(*fan)
+	f.items, f.count = items, int32(count)
+	f.next.Store(0)
+	for l := 1; l < count && l < n.cfg.ForwardParallel; l++ {
+		f.lanes.Add(1)
+		if !transport.TryGo(f) {
+			f.lanes.Done()
+			break
 		}
 	}
-	task(0)
-	wg.Wait()
-}
-
-// fwdPool is the process-wide forward-worker pool. It is shared by every
-// node in the process — per-node pools would put the goroutine count back
-// on an O(members) slope, which is exactly what the sharded live runtime
-// exists to avoid — and its workers exit after an idle grace period, so a
-// quiescent process keeps no forward goroutines at all. The pool has no
-// queue: submit either wakes a parked worker, starts one (under the cap),
-// or reports failure and the caller runs the task itself.
-var fwdPool = &taskPool{tasks: make(chan func())}
-
-const fwdIdleExit = time.Second
-
-type taskPool struct {
-	tasks   chan func()  // unbuffered: a send finds a parked worker or fails
-	workers atomic.Int32 // live workers, bounded by capacity()
-}
-
-func (p *taskPool) capacity() int32 {
-	if c := int32(4 * goruntime.GOMAXPROCS(0)); c > 16 {
-		return c
-	}
-	return 16
-}
-
-// submit hands f to a warm worker, or starts a fresh one under the cap.
-// It never blocks; false means the pool is saturated and the caller should
-// run f itself.
-func (p *taskPool) submit(f func()) bool {
-	select {
-	case p.tasks <- f:
-		return true
-	default:
-	}
-	for {
-		w := p.workers.Load()
-		if w >= p.capacity() {
-			return false
-		}
-		if p.workers.CompareAndSwap(w, w+1) {
-			go p.worker(f)
-			return true
-		}
-	}
-}
-
-// worker runs its seed task, then parks on the task channel until the idle
-// grace expires. The first deep call chain grows this goroutine's stack
-// once; every task it picks up afterwards reuses the grown stack.
-func (p *taskPool) worker(f func()) {
-	idle := time.NewTimer(fwdIdleExit)
-	defer idle.Stop()
-	for {
-		f()
-		if !idle.Stop() {
-			select {
-			case <-idle.C:
-			default:
-			}
-		}
-		idle.Reset(fwdIdleExit)
-		select {
-		case f = <-p.tasks:
-		case <-idle.C:
-			p.workers.Add(-1)
-			return
-		}
-	}
+	f.drain()
+	f.lanes.Wait()
+	f.items = nil
+	fans.Put(f)
 }
 
 // confirmSuccessor is FindSuccessor through the node's per-generation memo,
@@ -233,12 +209,7 @@ func (n *Node) confirmSuccessor(y ring.ID) (NodeInfo, error) {
 // sendTimed issues one child send under the per-child deadline, within the
 // caller's context.
 func (n *Node) sendTimed(ctx context.Context, to, kind string, payload any) (any, error) {
-	if d := n.cfg.ForwardTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	return n.callCtx(ctx, to, kind, payload)
+	return n.callCtx(ctx, n.cfg.ForwardTimeout, to, kind, payload)
 }
 
 // backoff sleeps before retry attempt (0-based), doubling the base delay
@@ -272,6 +243,14 @@ func (n *Node) noteRetry(msgID, to string, attempt int, err error) {
 	n.emitf(trace.KindRetry, "%s attempt %d to %s: %v", msgID, attempt, to, err)
 }
 
+// noteRerouted accounts one segment a lookup routed around a stale table
+// slot.
+func (n *Node) noteRerouted() {
+	n.rerouted.Add(1)
+	n.obs.rerouted.Inc()
+	n.countMetric(metrics.CounterForwardRerouted)
+}
+
 // noteAcked accounts one acknowledged child send.
 func (n *Node) noteAcked() {
 	n.acked.Add(1)
@@ -288,28 +267,30 @@ func (n *Node) noteLost() {
 }
 
 // forwardSegment delivers one planned segment to its child: resolve the
-// child (table slot, live successor, or on-demand lookup), send with the
-// per-child deadline, and on failure re-resolve and retry with backoff up
-// to ForwardRetries times. If every attempt fails the segment is handed to
-// repairSegment rather than dropped.
-func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, cp childPlan, table []NodeInfo, hops int) {
+// child (planned table slot, live successor, or on-demand lookup), send
+// with the per-child deadline, and on failure re-resolve and retry with
+// backoff up to ForwardRetries times. If every attempt fails the segment is
+// handed to repairSegment rather than dropped.
+//
+// A table fault whose lookup lands on a different member than the slot
+// named is a reroute: the slot was stale (its member gone, or superseded
+// by a closer join) and the send went around it. An acknowledged reroute
+// is counted, since it is the path by which a crash can be absorbed with
+// no retry and no repair.
+func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, cp childPlan, hops int) {
 	s := n.space
 	x := n.self.ID
 
-	var (
-		child NodeInfo
-		ok    bool
-	)
+	child := cp.slot
 	if cp.viaSucc {
-		if live, liveOK := n.liveSuccessor(); liveOK {
-			child, ok = live, true
+		child = NodeInfo{}
+		if live, ok := n.liveSuccessor(); ok {
+			child = live
 		}
-	} else if idx, have := n.spec.slotIndex(cp.key); have && idx < len(table) {
-		child = table[idx]
-		ok = !child.zero()
 	}
+	stale := child // the table's answer, if the lookup replaces it
 	resolved := false
-	if !ok || child.zero() || !n.net.Registered(child.Addr) {
+	if child.zero() || !n.net.Registered(child.Addr) {
 		// Table slot empty or stale: resolve on demand.
 		n.tableFaults.Add(1)
 		info, err := n.confirmSuccessor(cp.y)
@@ -342,12 +323,16 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 	if child.Addr == n.self.Addr || !s.InOC(child.ID, x, cp.segEnd) {
 		return // no live member owns this segment; nothing to deliver
 	}
+	rerouted := !stale.zero() && stale.Addr != n.self.Addr && stale.Addr != child.Addr
 
 	req := multicastReq{MsgID: msgID, Source: source, Payload: payload.bytes, K: cp.segEnd, Hops: hops + 1, blob: payload.blob}
 	for attempt := 0; ; attempt++ {
 		_, err := n.sendTimed(ctx, child.Addr, kindMulticast, req)
 		if err == nil {
 			n.noteAcked()
+			if rerouted {
+				n.noteRerouted()
+			}
 			if n.observed() {
 				n.emitf(trace.KindForward, "%s -> segment end %d", msgID, cp.segEnd)
 			}
@@ -394,10 +379,13 @@ func (n *Node) repairSegment(ctx context.Context, msgID string, source NodeInfo,
 	}
 	if info, _, err := n.FindSuccessor(target); err == nil && !info.zero() {
 		if info.Addr == n.self.Addr || !s.InOC(info.ID, x, cp.segEnd) {
-			return // no live members left in the segment; nothing to repair
+			// No live members left in the segment past the child.
+			n.noteSkippedChild(msgID, failedChild)
+			return
 		}
 		if _, err := n.sendTimed(ctx, info.Addr, kindMulticast, req); err == nil {
 			n.noteRepaired(msgID, cp.segEnd, info.Addr)
+			n.noteSkippedChild(msgID, failedChild)
 			return
 		}
 	}
@@ -409,10 +397,24 @@ func (n *Node) repairSegment(ctx context.Context, msgID string, source NodeInfo,
 		from = failedChild.ID
 	}
 	if n.ringWalkHandoff(ctx, msgID, req, failedChild, from, cp.segEnd) {
+		n.noteSkippedChild(msgID, failedChild)
 		return
 	}
 	n.noteLost()
 	n.emitf(trace.KindLost, "%s segment end %d lost", msgID, cp.segEnd)
+}
+
+// noteSkippedChild accounts the failed child a repair handoff went past.
+// The handoff covers the segment behind the child, never the child itself,
+// which is right for a dead child. A child the transport still believes
+// live — its sends were lost, or it answered too slowly — is a member that
+// missed the message, so its share of the segment counts as lost.
+func (n *Node) noteSkippedChild(msgID string, child NodeInfo) {
+	if child.zero() || !n.net.Registered(child.Addr) {
+		return
+	}
+	n.noteLost()
+	n.emitf(trace.KindLost, "%s unreachable child %s skipped by repair", msgID, child.Addr)
 }
 
 // ringWalkHandoff is the last-resort repair path: walk the ring through

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"camcast/internal/ring"
@@ -120,16 +121,36 @@ func (n *Node) handleMulticast(req multicastReq) (any, error) {
 // its own segment — and each send is protected by the retry/repair engine
 // in forward.go.
 func (n *Node) spreadSegment(ctx context.Context, msgID string, source NodeInfo, payload payloadRef, k ring.ID, hops int) {
-	plan := n.planSegments(k)
-	if len(plan) == 0 {
-		return
+	sp := spreads.Get().(*spread)
+	sp.plan = n.planSegments(sp.plan[:0], k)
+	if len(sp.plan) > 0 {
+		start := time.Now()
+		sp.n, sp.ctx, sp.msgID, sp.source, sp.payload, sp.hops = n, ctx, msgID, source, payload, hops
+		n.fanOut(len(sp.plan), sp)
+		n.obs.spreadTime.ObserveDuration(time.Since(start))
 	}
-	start := time.Now()
-	table := n.tableSnapshot()
-	n.fanOut(len(plan), func(i int) {
-		n.forwardSegment(ctx, msgID, source, payload, plan[i], table, hops)
-	})
-	n.obs.spreadTime.ObserveDuration(time.Since(start))
+	clear(sp.plan)
+	*sp = spread{plan: sp.plan[:0]}
+	spreads.Put(sp)
+}
+
+// spread is one CAM-Chord segment spread in flight: the message and its
+// dispatch plan, shared by the fan-out's lanes. Spreads are recycled with
+// their plan storage, so relaying a hop allocates no plan or closure.
+type spread struct {
+	n       *Node
+	ctx     context.Context
+	msgID   string
+	source  NodeInfo
+	payload payloadRef
+	hops    int
+	plan    []childPlan
+}
+
+var spreads = sync.Pool{New: func() any { return new(spread) }}
+
+func (sp *spread) fanItem(i int) {
+	sp.n.forwardSegment(sp.ctx, sp.msgID, sp.source, sp.payload, sp.plan[i], sp.hops)
 }
 
 func (n *Node) handleFlood(req floodReq) (any, error) {
@@ -167,9 +188,9 @@ func (n *Node) floodNeighbors(ctx context.Context, msgID string, source NodeInfo
 	start := time.Now()
 	needRepair := make([]bool, len(neighbors))
 	isRelay := make([]bool, len(neighbors))
-	n.fanOut(len(neighbors), func(i int) {
+	n.fanOut(len(neighbors), fanFunc(func(i int) {
 		needRepair[i], isRelay[i] = n.floodOne(ctx, msgID, source, payload, neighbors[i], hops)
-	})
+	}))
 	n.obs.spreadTime.ObserveDuration(time.Since(start))
 	if ctx.Err() != nil {
 		return // caller gave up; don't account abandoned sends as losses

@@ -70,6 +70,12 @@ type Transport interface {
 	// ctx.Err() or a wrapped equivalent) once the deadline passes, so one
 	// dead or slow peer cannot stall the caller indefinitely.
 	Call(ctx context.Context, from, to, kind string, payload any) (any, error)
+	// CallWithin is Call with the exchange additionally bounded by timeout
+	// (0 = no extra bound). It is how a caller with a per-call budget —
+	// the forwarding engine's per-child deadline — bounds a call without
+	// deriving a context and arming a timer of its own: the transport
+	// folds the budget into the deadline it already enforces.
+	CallWithin(ctx context.Context, timeout time.Duration, from, to, kind string, payload any) (any, error)
 	// Register attaches the handler serving addr.
 	Register(addr string, h transport.Handler)
 	// Unregister detaches addr, making it unreachable.
@@ -85,6 +91,7 @@ type Transport interface {
 // multi-group process runs on a Flow without knowing it.
 var (
 	_ Transport = (*transport.Network)(nil)
+	_ Transport = (*transport.TCP)(nil)
 	_ Transport = (*transport.Flow)(nil)
 )
 
@@ -129,9 +136,10 @@ type Config struct {
 	// fan-out. Zero means the default (2s); negative disables deadlines.
 	ForwardTimeout time.Duration
 	// ForwardParallel bounds concurrent in-flight child sends per
-	// fan-out: up to ForwardParallel-1 sends run on the process-wide
-	// warm worker pool, the rest (and always the first) on the caller's
-	// goroutine. Zero means the default (8); negative serializes sends.
+	// fan-out: up to ForwardParallel-1 lanes run on the process-wide
+	// warm worker pool alongside the caller's goroutine, each taking the
+	// next unsent child until none remain. Zero means the default (8);
+	// negative serializes sends.
 	ForwardParallel int
 	// RetryBackoff is the delay before the first retry; each further
 	// retry doubles it, with ±50% deterministic jitter. Zero means the
@@ -265,6 +273,7 @@ type Stats struct {
 	// and failure semantics").
 	ChildrenAcked    uint64 // direct child sends acknowledged
 	Retries          uint64 // child sends retried after a failure
+	Rerouted         uint64 // segments whose stale table slot a lookup routed around to a live child
 	SegmentsRepaired uint64 // orphaned segments handed to a live node
 	SegmentsLost     uint64 // segments abandoned after retries and repair failed
 }
@@ -314,6 +323,7 @@ type Node struct {
 	tableFaults atomic.Uint64
 	acked       atomic.Uint64
 	retries     atomic.Uint64
+	rerouted    atomic.Uint64
 	repaired    atomic.Uint64
 	lost        atomic.Uint64
 
@@ -500,6 +510,7 @@ func (n *Node) Stats() Stats {
 		TableFaults:      n.tableFaults.Load(),
 		ChildrenAcked:    n.acked.Load(),
 		Retries:          n.retries.Load(),
+		Rerouted:         n.rerouted.Load(),
 		SegmentsRepaired: n.repaired.Load(),
 		SegmentsLost:     n.lost.Load(),
 	}
@@ -679,23 +690,19 @@ func (n *Node) loop(every time.Duration, tick func()) {
 }
 
 // call issues one RPC from this node, bounded by Config.CallTimeout when
-// set. Multicast child sends use callCtx with the tighter ForwardTimeout.
+// set. Multicast child sends use sendTimed with the tighter ForwardTimeout.
 func (n *Node) call(to, kind string, payload any) (any, error) {
-	ctx := context.Background()
-	if d := n.cfg.CallTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	return n.callCtx(ctx, to, kind, payload)
+	return n.callCtx(context.Background(), n.cfg.CallTimeout, to, kind, payload)
 }
 
-// callCtx issues one RPC under the caller's context. Every outcome feeds
-// the suspicion cache: unreachability errors mark the peer suspect for
-// SuspicionWindow, any response (including handler errors, which prove
-// reachability) clears it.
-func (n *Node) callCtx(ctx context.Context, to, kind string, payload any) (any, error) {
-	resp, err := n.net.Call(ctx, n.self.Addr, to, kind, payload)
+// callCtx issues one RPC under the caller's context, additionally bounded
+// by timeout when it is positive. The transport enforces the timeout as
+// part of the call's deadline (CallWithin), so no derived context or timer
+// is built per call. Every outcome feeds the suspicion cache:
+// unreachability errors mark the peer suspect for SuspicionWindow, any
+// response (including handler errors, which prove reachability) clears it.
+func (n *Node) callCtx(ctx context.Context, timeout time.Duration, to, kind string, payload any) (any, error) {
+	resp, err := n.net.CallWithin(ctx, max(timeout, 0), n.self.Addr, to, kind, payload)
 	n.noteCallResult(to, err)
 	return resp, err
 }
@@ -1023,12 +1030,7 @@ func (n *Node) RequestContext(ctx context.Context, addr string, payload []byte) 
 		return nil, ErrStopped
 	}
 	n.mu.Unlock()
-	if d := n.cfg.CallTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	resp, err := n.callCtx(ctx, addr, kindApp, appReq{Payload: payload})
+	resp, err := n.callCtx(ctx, n.cfg.CallTimeout, addr, kindApp, appReq{Payload: payload})
 	if err != nil {
 		return nil, err
 	}

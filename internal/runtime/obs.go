@@ -19,6 +19,7 @@ type nodeObs struct {
 	duplicates *obsv.Counter
 	acked      *obsv.Counter
 	retries    *obsv.Counter
+	rerouted   *obsv.Counter
 	repaired   *obsv.Counter
 	lost       *obsv.Counter
 
@@ -43,6 +44,7 @@ func newNodeObs(bus *obsv.Bus, reg *obsv.Registry) nodeObs {
 		duplicates: reg.Counter(obsv.MetricDuplicates),
 		acked:      reg.Counter(obsv.MetricForwardAcked),
 		retries:    reg.Counter(obsv.MetricForwardRetries),
+		rerouted:   reg.Counter(obsv.MetricForwardRerouted),
 		repaired:   reg.Counter(obsv.MetricForwardRepaired),
 		lost:       reg.Counter(obsv.MetricForwardLost),
 		lookupHops: reg.Histogram(obsv.MetricLookupHops, obsv.HopBuckets),

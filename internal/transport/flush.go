@@ -13,12 +13,14 @@ import (
 // flushes. A writer that knows it is the only active writer on the
 // connection (sole pending call, last in-flight handler) flushes inline —
 // no added latency on a quiet connection. Any other writer leaves its frame
-// buffered and arms the flusher goroutine, which yields the processor a
-// couple of times before flushing, so every caller or handler that is
-// already runnable gets to append its frame first: a 16-way concurrent
-// fan-out lands in one write syscall instead of sixteen. This is what makes
-// pipelining pay off even on a single core, where concurrent writers never
-// actually overlap on the write lock.
+// buffered and arms the writer's flush task, which runs on the process-wide
+// worker pool and yields the processor a couple of times before flushing,
+// so every caller or handler that is already runnable gets to append its
+// frame first: a 16-way concurrent fan-out lands in one write syscall
+// instead of sixteen. This is what makes pipelining pay off even on a
+// single core, where concurrent writers never actually overlap on the write
+// lock. The task exists only while the writer is armed; an idle connection
+// holds no flusher goroutine.
 //
 // Frames are encoded directly into the writer's buffer (no per-connection
 // scratch-then-copy step): each frame reserves its 4-byte length prefix,
@@ -55,10 +57,9 @@ type frameWriter struct {
 	extLen   int         // total bytes across exts
 	mixed    bool        // metas span more than one group
 	err      error       // sticky; the conn is broken once set
-	armed    bool        // flusher has been kicked and will flush
-	closed   bool        // done has been closed
+	armed    bool        // a flush task is scheduled and will flush
 	frames   int         // frames buffered since the last batch was taken
-	hot      bool        // the flusher is batching: skip inline flushes
+	hot      bool        // the flush task is batching: skip inline flushes
 	flushing bool        // a taken batch is being written outside mu
 
 	// limit/pending implement the per-group backlog quota: pending tracks
@@ -81,11 +82,8 @@ type frameWriter struct {
 	wrrIdx   map[uint64][]int
 	giCache  map[uint64]*groupInstruments
 
-	kick chan struct{}
-	done chan struct{}
-
 	// timeout bounds each socket write/flush so one stalled peer cannot
-	// pin writers (or the flusher) forever.
+	// pin writers (or the flush task) forever.
 	timeout func() time.Duration
 	// obs carries the transport's instruments (flush batch sizes, bytes
 	// sent, payload encodes, per-group flow counters); every handle is
@@ -127,7 +125,7 @@ type batch struct {
 const (
 	// writeThreshold is the buffered-bytes level (heads + blob payloads)
 	// that forces an inline flush, bounding how much one connection buffers
-	// between flusher runs — the moral equivalent of the old fixed-size
+	// between flush-task runs — the moral equivalent of the old fixed-size
 	// bufio.Writer writing through when full.
 	writeThreshold = 64 * 1024
 	// maxRetainedBuf caps the head buffer kept across flushes; a burst of
@@ -141,16 +139,7 @@ const (
 )
 
 func newFrameWriter(conn net.Conn, timeout func() time.Duration, limit int, obs *instruments) *frameWriter {
-	w := &frameWriter{
-		conn:    conn,
-		limit:   limit,
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		timeout: timeout,
-		obs:     obs,
-	}
-	go w.flushLoop()
-	return w
+	return &frameWriter{conn: conn, limit: limit, timeout: timeout, obs: obs}
 }
 
 // writeRequest encodes and writes one request frame; writeResponse does
@@ -160,11 +149,11 @@ func newFrameWriter(conn net.Conn, timeout func() time.Duration, limit int, obs 
 //
 // inlineFlush says the caller believes no other writer is active, so the
 // frame should hit the socket now; otherwise the flush is left to the
-// flusher (or to a later inline writer). On a hot connection — the last
+// flush task (or to a later inline writer). On a hot connection — the last
 // flush batched multiple frames — the inline hint is ignored: under
 // pipelined load the "sole active writer" heuristic misfires once per
 // burst (the first caller of a new burst sees an empty pending set), and
-// deferring to the flusher folds that stray frame into the burst's single
+// deferring to the flush task folds that stray frame into the burst's single
 // write syscall. Both return the sticky connection error, if any.
 func (w *frameWriter) writeRequest(callID, gid uint64, from, to, kind string, payload any, codec Codec, inlineFlush bool) error {
 	w.mu.Lock()
@@ -308,14 +297,12 @@ func (w *frameWriter) sealFrame(gid uint64, lenPos, extMark, extLenMark int, inl
 		w.mu.Unlock()
 		return w.writeBatch(b)
 	}
-	if !w.armed {
-		w.armed = true
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
-	}
+	arm := !w.armed
+	w.armed = true
 	w.mu.Unlock()
+	if arm {
+		goTask(w)
+	}
 	return nil
 }
 
@@ -487,7 +474,7 @@ func (w *frameWriter) accountGroups(b *batch) {
 
 // finishBatch returns a written batch's storage to the writer, settles the
 // quota accounting, and decides what happens next: fail the writer on a
-// socket error, or re-kick the flusher if frames accumulated while the
+// socket error, or re-arm the flush task if frames accumulated while the
 // batch was in flight.
 func (w *frameWriter) finishBatch(b batch, err error) {
 	w.mu.Lock()
@@ -507,16 +494,16 @@ func (w *frameWriter) finishBatch(b batch, err error) {
 	}
 	w.spareExts = b.exts[:0]
 	w.spareMetas = b.metas[:0]
+	arm := false
 	if err != nil {
 		w.fail(err)
 	} else if w.frames > 0 && !w.armed && w.err == nil {
-		w.armed = true
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
+		w.armed, arm = true, true
 	}
 	w.mu.Unlock()
+	if arm {
+		goTask(w)
+	}
 }
 
 // releaseExtsLocked releases every buffered (untaken) blob segment.
@@ -549,7 +536,9 @@ func (w *frameWriter) fail(err error) {
 	w.conn.Close()
 }
 
-// close stops the flusher goroutine. The socket is closed by the caller.
+// close retires the writer: later writes fail with ErrClosed and buffered
+// frames are dropped. A flush task still scheduled finds the writer closed
+// and returns. The socket is closed by the caller.
 func (w *frameWriter) close() {
 	w.mu.Lock()
 	if w.err == nil {
@@ -558,34 +547,24 @@ func (w *frameWriter) close() {
 	w.releaseExtsLocked()
 	w.metas = w.metas[:0]
 	w.frames = 0
-	if !w.closed {
-		w.closed = true
-		close(w.done)
-	}
 	w.mu.Unlock()
 }
 
-// flushLoop is the backstop flusher: after a kick it yields a few times so
-// every already-runnable writer can append its frame, then flushes the
-// whole batch in one syscall. If an inline writer has a batch in flight the
-// kick is a no-op — that writer's finishBatch re-kicks if frames remain.
-func (w *frameWriter) flushLoop() {
-	for {
-		select {
-		case <-w.kick:
-		case <-w.done:
-			return
-		}
-		runtime.Gosched()
-		runtime.Gosched()
-		w.mu.Lock()
-		w.armed = false
-		if w.err != nil || w.flushing || w.frames == 0 {
-			w.mu.Unlock()
-			continue
-		}
-		b := w.takeBatchLocked()
+// Run is the writer's flush task, scheduled on the worker pool when the
+// writer is armed: it yields a few times so every already-runnable writer
+// can append its frame, then flushes the whole batch in one syscall. If an
+// inline writer has a batch in flight the task is a no-op — that writer's
+// finishBatch re-arms if frames remain.
+func (w *frameWriter) Run() {
+	runtime.Gosched()
+	runtime.Gosched()
+	w.mu.Lock()
+	w.armed = false
+	if w.err != nil || w.flushing || w.frames == 0 {
 		w.mu.Unlock()
-		w.writeBatch(b)
+		return
 	}
+	b := w.takeBatchLocked()
+	w.mu.Unlock()
+	w.writeBatch(b)
 }

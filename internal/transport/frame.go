@@ -55,6 +55,12 @@ const (
 	// frameHeaderSize is the minimum header length: type byte, call ID,
 	// and at least one group-label byte (the label is a uvarint).
 	frameHeaderSize = 1 + 8 + 1
+
+	// readBufSize is the bufio buffer of each socket reader. It only has
+	// to batch the small frames of a pipelined burst into few read
+	// syscalls: frame bodies land in pooled blobs, and a body larger than
+	// the buffer is read straight from the socket into its blob.
+	readBufSize = 4 << 10
 )
 
 var preamble = [4]byte{'C', 'A', 'M', wireVersion}
@@ -77,32 +83,15 @@ func readPreamble(r io.Reader) error {
 	return nil
 }
 
-// readFrame reads one length-prefixed frame body into buf (growing it as
-// needed) and returns the body slice, which is only valid until the next
-// call with the same buf.
-func readFrame(r *bufio.Reader, buf []byte) (body, next []byte, err error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		return nil, buf, err
-	}
-	n := binary.BigEndian.Uint32(lenb[:])
-	if n < frameHeaderSize || n > maxFrameSize {
-		return nil, buf, fmt.Errorf("transport: frame length %d out of range", n)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	body = buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, buf, err
-	}
-	return body, buf, nil
-}
-
 // readFrameBlob reads one length-prefixed frame body directly into a
 // pooled blob, so a bulk payload travels socket -> blob with no staging
 // copy (bufio hands reads larger than its remaining buffer straight to the
-// socket). The caller owns the returned blob's single reference.
+// socket). Both ends of a connection read this way — requests on the
+// server, responses on the client — which is what lets the socket readers
+// stay small: a connection's read-side memory is its readBufSize buffer
+// plus the blobs of the frames in flight, not a buffer sized for the
+// largest frame it ever saw. The caller owns the returned blob's single
+// reference.
 func readFrameBlob(r *bufio.Reader) (*Blob, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {
@@ -154,7 +143,7 @@ func appendResponseBody(b []byte, callID, gid uint64, errMsg string, errCode uin
 }
 
 // frameHeader splits a frame body into its header fields and the rest.
-// readFrame guarantees len(body) >= frameHeaderSize, but the group label is
+// readFrameBlob guarantees len(body) >= frameHeaderSize, but the group label is
 // variable-width, so a truncated or malformed label is still possible.
 func frameHeader(body []byte) (frameType byte, callID, gid uint64, rest []byte, err error) {
 	gid, n := binary.Uvarint(body[9:])

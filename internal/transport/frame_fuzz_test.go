@@ -72,11 +72,12 @@ func FuzzParseFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame differentially fuzzes the two stream readers: the
-// scratch-buffer reader and the direct-to-blob reader must accept and
-// reject exactly the same streams and yield identical frame bodies — the
-// blob reader runs on a deliberately tiny bufio buffer so large bodies
-// exercise its direct-read path.
+// FuzzReadFrame differentially fuzzes the stream reader against itself on
+// two buffer sizes and against a direct parse of the length prefixes: the
+// production-size reader (bodies mostly served from its buffer) and a
+// deliberately tiny one (large bodies read straight into the blob) must
+// accept and reject exactly the same streams and yield exactly the frame
+// bodies the prefixes delimit.
 func FuzzReadFrame(f *testing.F) {
 	var stream []byte
 	var lenb [4]byte
@@ -87,26 +88,38 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(stream)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		bbr := bufio.NewReaderSize(bytes.NewReader(data), 16)
-		var buf []byte
+		br := bufio.NewReaderSize(bytes.NewReader(data), readBufSize)
+		tiny := bufio.NewReaderSize(bytes.NewReader(data), 16)
+		rest := data
 		for {
-			body, next, err := readFrame(br, buf)
-			blob, berr := readFrameBlob(bbr)
-			if (err == nil) != (berr == nil) {
-				t.Fatalf("reader disagreement: readFrame err=%v readFrameBlob err=%v", err, berr)
+			blob, err := readFrameBlob(br)
+			tblob, terr := readFrameBlob(tiny)
+			if (err == nil) != (terr == nil) {
+				t.Fatalf("reader disagreement: buffered err=%v tiny err=%v", err, terr)
+			}
+			// The reference: a frame is accepted iff its prefix is in range
+			// and the whole body follows it.
+			var want []byte
+			if len(rest) >= 4 {
+				n := int(binary.BigEndian.Uint32(rest))
+				if n >= frameHeaderSize && n <= maxFrameSize && len(rest)-4 >= n {
+					want, rest = rest[4:4+n], rest[4+n:]
+				}
 			}
 			if err != nil {
+				if want != nil {
+					t.Fatalf("reader rejected a well-formed %d-byte frame: %v", len(want), err)
+				}
 				return
 			}
-			buf = next
-			if len(body) < frameHeaderSize {
-				t.Fatalf("readFrame returned %d-byte body, below the header minimum", len(body))
+			if want == nil {
+				t.Fatalf("reader accepted a %d-byte body the prefixes do not delimit", blob.Len())
 			}
-			if !bytes.Equal(body, blob.Bytes()) {
-				t.Fatalf("readFrameBlob body differs from readFrame body")
+			if !bytes.Equal(blob.Bytes(), want) || !bytes.Equal(tblob.Bytes(), want) {
+				t.Fatalf("frame body differs from the prefix-delimited bytes")
 			}
 			blob.Release()
+			tblob.Release()
 		}
 	})
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"time"
 )
 
 // Multi-group transport sharing. Both transports key their endpoint tables
@@ -43,7 +44,7 @@ var ErrGroupBacklog = errors.New("transport: group backlog over quota")
 // groupTransport is the grouped endpoint contract both transports
 // implement; Flow narrows it back to one group.
 type groupTransport interface {
-	CallGroup(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error)
+	CallGroupWithin(ctx context.Context, gid uint64, timeout time.Duration, from, to, kind string, payload any) (any, error)
 	RegisterGroup(gid uint64, addr string, h Handler)
 	UnregisterGroup(gid uint64, addr string)
 	RegisteredGroup(gid uint64, addr string) bool
@@ -70,7 +71,13 @@ func (f *Flow) GroupID() uint64 { return f.gid }
 
 // Call invokes the handler registered at (group, to).
 func (f *Flow) Call(ctx context.Context, from, to, kind string, payload any) (any, error) {
-	return f.t.CallGroup(ctx, f.gid, from, to, kind, payload)
+	return f.t.CallGroupWithin(ctx, f.gid, 0, from, to, kind, payload)
+}
+
+// CallWithin invokes the handler registered at (group, to) under an extra
+// timeout (see TCP.CallWithin).
+func (f *Flow) CallWithin(ctx context.Context, timeout time.Duration, from, to, kind string, payload any) (any, error) {
+	return f.t.CallGroupWithin(ctx, f.gid, timeout, from, to, kind, payload)
 }
 
 // Register installs a handler for addr within this flow's group.

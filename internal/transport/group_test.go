@@ -72,7 +72,7 @@ func TestTCPThousandGroupsOneConnection(t *testing.T) {
 	}
 	ctx := context.Background()
 	for gid := uint64(1); gid <= groups; gid++ {
-		resp, err := a.CallGroup(ctx, gid, "client", b.Addr(), "probe", echoPayload{Value: 0})
+		resp, err := a.Flow(gid).Call(ctx, "client", b.Addr(), "probe", echoPayload{Value: 0})
 		if err != nil {
 			t.Fatalf("group %d: %v", gid, err)
 		}
@@ -90,7 +90,7 @@ func TestTCPThousandGroupsOneConnection(t *testing.T) {
 	// A group nobody registered is unreachable, with the group named in
 	// the error rather than silently falling back to another group's
 	// endpoint at the same address.
-	if _, err := a.CallGroup(ctx, groups+1, "client", b.Addr(), "probe", echoPayload{}); err == nil {
+	if _, err := a.Flow(groups+1).Call(ctx, "client", b.Addr(), "probe", echoPayload{}); err == nil {
 		t.Error("call into an unregistered group succeeded")
 	} else if !strings.Contains(err.Error(), "group") {
 		t.Errorf("unregistered-group error %q does not mention the group", err)

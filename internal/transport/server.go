@@ -10,21 +10,33 @@ import (
 )
 
 // serverConn is the accept side of one peer connection: a decode loop that
-// reads request frames and hands each to a pool of worker goroutines,
-// bounded per connection, so one slow handler delays neither the decoding
-// of the peer's next request nor the responses of faster handlers. Workers
-// are spawned on demand up to the bound and then live for the connection —
-// reusing a warm goroutine (and its grown stack) per request instead of
-// paying goroutine startup and stack-copy cost on every call. Workers
-// write responses back — out of order, keyed by call ID — through the
-// connection's coalescing frameWriter: the last in-flight worker flushes
-// the batch inline, earlier ones leave their frames for the flusher.
+// reads request frames and hands each to the process-wide worker pool, so
+// one slow handler delays neither the decoding of the peer's next request
+// nor the responses of faster handlers. The connection owns no worker
+// goroutines of its own — an idle connection costs one parked decode loop —
+// and a semaphore bounds its requests in flight at 2×ServerWorkers, the
+// bound a queue of ServerWorkers requests in front of ServerWorkers
+// workers gives: beyond it the decode loop stops reading until a handler
+// finishes. Handlers write responses back — out of order, keyed by call ID
+// — through the connection's coalescing frameWriter: the last in-flight
+// handler flushes the batch inline, earlier ones leave their frames for the
+// writer's flush task.
 type serverConn struct {
 	t        *TCP
 	w        *frameWriter
-	reqs     chan parsedRequest
-	inflight atomic.Int32 // requests dispatched but not yet responded to
+	slots    chan struct{}  // in-flight semaphore, capacity 2×ServerWorkers
+	inflight atomic.Int32   // requests dispatched but not yet responded to
+	handlers sync.WaitGroup // dispatched handlers, awaited on teardown
 }
+
+// serverJob carries one request to a pool worker. Jobs are recycled, so
+// dispatching a request allocates nothing.
+type serverJob struct {
+	s   *serverConn
+	req parsedRequest
+}
+
+var serverJobs = sync.Pool{New: func() any { return new(serverJob) }}
 
 func (t *TCP) serveConn(conn net.Conn) {
 	defer t.wg.Done()
@@ -34,24 +46,13 @@ func (t *TCP) serveConn(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 64*1024)
+	br := bufio.NewReaderSize(conn, readBufSize)
 	if err := readPreamble(br); err != nil {
 		return // wrong protocol or version; drop the peer
 	}
-	maxWorkers := t.serverWorkers()
-	// The queue is buffered so the decode loop can hand off a burst of
-	// pipelined requests without yielding to a worker between frames: the
-	// whole burst is dispatched, in-flight, before the first handler runs,
-	// which is what lets the last finishing worker flush all the responses
-	// in one syscall. A full queue (maxWorkers executing + maxWorkers
-	// queued) blocks the decode loop, which is the per-connection bound.
-	s := &serverConn{t: t, w: newFrameWriter(conn, t.rpcTimeout, t.GroupBacklogLimit, &t.obs), reqs: make(chan parsedRequest, maxWorkers)}
+	s := &serverConn{t: t, w: newFrameWriter(conn, t.rpcTimeout, t.GroupBacklogLimit, &t.obs), slots: make(chan struct{}, 2*t.serverWorkers())}
 	defer s.w.close()
-
-	spawned := 0
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
-	defer close(s.reqs) // workers exit once the queue drains
+	defer s.handlers.Wait()
 
 	for {
 		blob, err := readFrameBlob(br)
@@ -72,44 +73,55 @@ func (t *TCP) serveConn(conn net.Conn) {
 			s.respond(callID, gid, fmt.Sprintf("transport: bad request: %v", err), 0, nil, true)
 			continue
 		}
-		n := s.inflight.Add(1)
-		if spawned < maxWorkers && int(n) > spawned {
-			// Outstanding requests exceed the pool: grow it, up to the
-			// bound. Workers then live for the connection.
-			spawned++
-			handlers.Add(1)
-			go s.worker(&handlers)
-		}
-		s.reqs <- req
+		// A pipelined burst is dispatched without blocking — handing a
+		// task to a parked worker only makes it runnable — so the whole
+		// burst is in flight before the first handler finishes, which is
+		// what lets the last finishing handler flush every response in one
+		// syscall.
+		s.slots <- struct{}{}
+		s.inflight.Add(1)
+		s.handlers.Add(1)
+		j := serverJobs.Get().(*serverJob)
+		j.s, j.req = s, req
+		// Never inline on the decode loop: a multicast handler blocks until
+		// its whole subtree completes, and the loop must keep reading.
+		goTask(j)
 	}
 }
 
-// worker serves requests until the queue closes.
-func (s *serverConn) worker(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for req := range s.reqs {
-		errMsg, errCode, payload, decoded := s.handle(req)
-		s.t.obs.served.Inc()
-		// The last in-flight worker flushes the whole batch inline;
-		// anyone still behind it leaves the frame to the flusher.
-		inline := s.inflight.Add(-1) == 0
-		s.respond(req.callID, req.gid, errMsg, errCode, payload, inline)
-		// The response is written (its writer holds its own blob references
-		// if it shares the payload), so the request's payload lifetime ends:
-		// first the decoded value's reference, then the frame body itself.
-		// Handlers only borrow the payload; anything they keep past return
-		// is a copy, per the delivery contract.
-		if pr, ok := decoded.(PayloadReleaser); ok {
-			pr.ReleasePayload()
-		}
-		req.body.Release()
+// Run serves the job's request on a pool worker.
+func (j *serverJob) Run() {
+	s, req := j.s, j.req
+	*j = serverJob{}
+	serverJobs.Put(j)
+	s.serve(req)
+}
+
+// serve runs one request's handler and writes its response.
+func (s *serverConn) serve(req parsedRequest) {
+	defer s.handlers.Done()
+	errMsg, errCode, payload, decoded := s.handle(req)
+	s.t.obs.served.Inc()
+	// The last in-flight handler flushes the whole batch inline; anyone
+	// still behind it leaves the frame to the flush task.
+	inline := s.inflight.Add(-1) == 0
+	s.respond(req.callID, req.gid, errMsg, errCode, payload, inline)
+	<-s.slots
+	// The response is written (its writer holds its own blob references if
+	// it shares the payload), so the request's payload lifetime ends: first
+	// the decoded value's reference, then the frame body itself. Handlers
+	// only borrow the payload; anything they keep past return is a copy,
+	// per the delivery contract.
+	if pr, ok := decoded.(PayloadReleaser); ok {
+		pr.ReleasePayload()
 	}
+	req.body.Release()
 }
 
 // handle decodes one request's payload and invokes the handler, returning
 // the response to write — error text plus its wire status code — and the
-// decoded payload (so the worker can release a blob-backed payload after
-// the response is out).
+// decoded payload (so serve can release a blob-backed payload after the
+// response is out).
 func (s *serverConn) handle(req parsedRequest) (errMsg string, errCode uint64, payload, decoded any) {
 	decoded, err := decodePayloadOwned(req.payload, req.body, s.t.obs.encodes)
 	if err != nil {

@@ -23,9 +23,11 @@ import (
 // sequential round trips. Frames use a compact binary format (see frame.go)
 // with a per-payload type tag; registered payload types (WireMarshaler +
 // RegisterWireDecoder) are hand-marshaled, anything else falls back to gob.
-// The serving side dispatches handlers to bounded worker goroutines per
-// connection, so a slow handler neither delays the decoding of later
-// requests nor blocks faster handlers' responses.
+// The serving side dispatches handlers to the process-wide worker pool
+// under a per-connection in-flight bound, so a slow handler neither delays
+// the decoding of later requests nor blocks faster handlers' responses.
+// A connection's own footprint is one small reader per socket end; writer
+// flushes and handlers borrow pool workers only while they have work.
 //
 // Call failures mark the destination suspected for SuspicionWindow so that
 // Registered() doubles as a cheap failure detector, matching what the
@@ -46,18 +48,21 @@ type TCP struct {
 	SuspicionWindow time.Duration
 	// DialTimeout bounds connection establishment; default 2s.
 	DialTimeout time.Duration
-	// RPCTimeout bounds each request/response exchange (a per-call timer —
-	// the multiplexed socket carries other calls, so no socket-wide read
-	// deadline is involved). A context deadline on Call tightens it
-	// further per call. A timed-out call fails without tearing down the
-	// shared connection. Default 10s.
+	// RPCTimeout bounds each request/response exchange (a per-call
+	// deadline in the shared sweeper — the multiplexed socket carries
+	// other calls, so no socket-wide read deadline is involved). A context
+	// deadline on Call, or CallWithin's timeout, tightens it further per
+	// call. A timed-out call fails without tearing down the shared
+	// connection. Default 10s.
 	RPCTimeout time.Duration
 	// Codec selects the payload encoding (CodecBinary by default; CodecGob
 	// keeps the old all-gob encoding for A/B measurement). Mutable before
 	// first use.
 	Codec Codec
-	// ServerWorkers bounds concurrently running handlers per accepted
-	// connection. Mutable before first use; default 32.
+	// ServerWorkers sizes the per-accepted-connection request bound: up
+	// to 2×ServerWorkers requests are in flight (dispatched to handlers,
+	// not yet answered) before the connection's decode loop stops reading
+	// until one finishes. Mutable before first use; default 32.
 	ServerWorkers int
 	// GroupBacklogLimit bounds, per group and per connection, how many
 	// request bytes may sit buffered and unflushed in the connection's
@@ -233,21 +238,31 @@ func (t *TCP) ConnCount() int {
 // handler; remote ones go over the destination's pooled multiplexed
 // connection. The context bounds connection establishment and the
 // request/response exchange: its deadline (or RPCTimeout, whichever is
-// sooner) arms a per-call timer, so a hung peer fails the call while other
-// calls keep flowing on the shared connection.
+// sooner) becomes the call's deadline in the transport's shared sweeper,
+// so a hung peer fails the call while other calls keep flowing on the
+// shared connection.
 func (t *TCP) Call(ctx context.Context, from, to, kind string, payload any) (any, error) {
-	return t.CallGroup(ctx, DefaultGroup, from, to, kind, payload)
+	return t.CallGroupWithin(ctx, DefaultGroup, 0, from, to, kind, payload)
 }
 
-// CallGroup delivers one request within group gid (see Call).
-func (t *TCP) CallGroup(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error) {
+// CallWithin is Call with the exchange additionally bounded by timeout
+// (0 = no extra bound). The timeout joins the context deadline and
+// RPCTimeout in the sweeper-enforced call deadline, so a caller with a
+// per-call budget needs no derived context and no timer of its own.
+func (t *TCP) CallWithin(ctx context.Context, timeout time.Duration, from, to, kind string, payload any) (any, error) {
+	return t.CallGroupWithin(ctx, DefaultGroup, timeout, from, to, kind, payload)
+}
+
+// CallGroupWithin delivers one request within group gid under an extra
+// timeout (see CallWithin); Flow.Call and Flow.CallWithin land here.
+func (t *TCP) CallGroupWithin(ctx context.Context, gid uint64, timeout time.Duration, from, to, kind string, payload any) (any, error) {
 	if t.obs.latency == nil {
-		return t.dispatch(ctx, gid, from, to, kind, payload)
+		return t.dispatch(ctx, gid, timeout, from, to, kind, payload)
 	}
 	t.obs.calls.Inc()
 	t.obs.inflight.Add(1)
 	start := time.Now()
-	resp, err := t.dispatch(ctx, gid, from, to, kind, payload)
+	resp, err := t.dispatch(ctx, gid, timeout, from, to, kind, payload)
 	t.obs.inflight.Add(-1)
 	t.obs.latency.ObserveDuration(time.Since(start))
 	if err != nil {
@@ -256,7 +271,7 @@ func (t *TCP) CallGroup(ctx context.Context, gid uint64, from, to, kind string, 
 	return resp, err
 }
 
-func (t *TCP) dispatch(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error) {
+func (t *TCP) dispatch(ctx context.Context, gid uint64, timeout time.Duration, from, to, kind string, payload any) (any, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -268,7 +283,7 @@ func (t *TCP) dispatch(ctx context.Context, gid uint64, from, to, kind string, p
 	}
 	t.mu.Unlock()
 
-	resp, err := t.remoteCall(ctx, gid, from, to, kind, payload)
+	resp, err := t.remoteCall(ctx, gid, timeout, from, to, kind, payload)
 	if err != nil {
 		var handlerErr *handlerError
 		if errors.As(err, &handlerErr) {
@@ -301,12 +316,19 @@ type handlerError struct {
 
 func (e *handlerError) Error() string { return e.msg }
 
-// rpcDeadline resolves the per-call deadline for one exchange: the sooner
-// of the context deadline and now+RPCTimeout (zero when both are unset).
-func (t *TCP) rpcDeadline(ctx context.Context) time.Time {
+// rpcDeadline resolves the per-call deadline for one exchange: the soonest
+// of the context deadline, now+RPCTimeout and now+timeout (zero when none
+// is set).
+func (t *TCP) rpcDeadline(ctx context.Context, timeout time.Duration) time.Time {
 	var deadline time.Time
-	if t.RPCTimeout > 0 {
-		deadline = time.Now().Add(t.RPCTimeout)
+	if t.RPCTimeout > 0 || timeout > 0 {
+		now := time.Now()
+		if t.RPCTimeout > 0 {
+			deadline = now.Add(t.RPCTimeout)
+		}
+		if timeout > 0 && (deadline.IsZero() || timeout < t.RPCTimeout) {
+			deadline = now.Add(timeout)
+		}
 	}
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
@@ -314,17 +336,18 @@ func (t *TCP) rpcDeadline(ctx context.Context) time.Time {
 	return deadline
 }
 
-func (t *TCP) remoteCall(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error) {
-	c, err := t.conn(ctx, to)
+func (t *TCP) remoteCall(ctx context.Context, gid uint64, timeout time.Duration, from, to, kind string, payload any) (any, error) {
+	c, err := t.conn(ctx, timeout, to)
 	if err != nil {
 		return nil, err
 	}
-	return c.roundTrip(ctx, t.rpcDeadline(ctx), gid, from, to, kind, payload)
+	return c.roundTrip(ctx, t.rpcDeadline(ctx, timeout), gid, from, to, kind, payload)
 }
 
 // conn returns the pooled multiplexed connection to to, dialing one if
-// needed.
-func (t *TCP) conn(ctx context.Context, to string) (*muxConn, error) {
+// needed; a dial is bounded by DialTimeout and the call's timeout, if
+// sooner.
+func (t *TCP) conn(ctx context.Context, timeout time.Duration, to string) (*muxConn, error) {
 	t.mu.Lock()
 	if c, ok := t.conns[to]; ok {
 		t.mu.Unlock()
@@ -332,6 +355,9 @@ func (t *TCP) conn(ctx context.Context, to string) (*muxConn, error) {
 	}
 	dialTimeout := t.DialTimeout
 	t.mu.Unlock()
+	if timeout > 0 && (dialTimeout <= 0 || timeout < dialTimeout) {
+		dialTimeout = timeout
+	}
 
 	d := net.Dialer{Timeout: dialTimeout}
 	nc, err := d.DialContext(ctx, "tcp", to)
@@ -346,7 +372,7 @@ func (t *TCP) conn(ctx context.Context, to string) (*muxConn, error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		c.fail(ErrClosed) // also stops the conn's flusher and sweep entry
+		c.fail(ErrClosed) // also retires the conn's writer and sweep entry
 		return nil, ErrClosed
 	}
 	if existing, ok := t.conns[to]; ok {

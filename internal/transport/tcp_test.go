@@ -289,4 +289,14 @@ func TestTCPCallerDeadlineWins(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("caller deadline did not bound the call (took %v)", d)
 	}
+
+	// A per-call timeout bounds the call the same way, with no context
+	// deadline at all.
+	start = time.Now()
+	if _, err := a.CallWithin(context.Background(), 80*time.Millisecond, "client", hung.Addr().String(), "x", echoPayload{}); err == nil {
+		t.Fatal("CallWithin should have failed")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("CallWithin timeout did not bound the call (took %v)", d)
+	}
 }

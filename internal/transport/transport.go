@@ -290,21 +290,29 @@ func (n *Network) effectivePartition(addr string, step uint64) int {
 // already been reached, mirroring a real network where a timed-out request
 // may still have been processed remotely.
 func (n *Network) Call(ctx context.Context, from, to, kind string, payload any) (any, error) {
-	return n.CallGroup(ctx, DefaultGroup, from, to, kind, payload)
+	return n.CallGroupWithin(ctx, DefaultGroup, 0, from, to, kind, payload)
 }
 
-// CallGroup delivers one request within group gid (see Call). Fault
+// CallWithin is Call with the simulated network time additionally bounded
+// by timeout (0 = no extra bound) — what a context.WithTimeout around Call
+// would do, without the derived context and its timer.
+func (n *Network) CallWithin(ctx context.Context, timeout time.Duration, from, to, kind string, payload any) (any, error) {
+	return n.CallGroupWithin(ctx, DefaultGroup, timeout, from, to, kind, payload)
+}
+
+// CallGroupWithin delivers one request within group gid under an extra
+// timeout (see CallWithin); Flow.Call and Flow.CallWithin land here. Fault
 // injection — crash windows, partitions, loss, latency — applies by
 // address, regardless of group: the simulated failure is the host's or the
 // link's, and every group sharing it fails together.
-func (n *Network) CallGroup(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error) {
+func (n *Network) CallGroupWithin(ctx context.Context, gid uint64, timeout time.Duration, from, to, kind string, payload any) (any, error) {
 	if n.obs.latency == nil {
-		return n.dispatch(ctx, gid, from, to, kind, payload)
+		return n.dispatch(ctx, gid, timeout, from, to, kind, payload)
 	}
 	n.obs.calls.Inc()
 	n.obs.inflight.Add(1)
 	start := time.Now()
-	resp, err := n.dispatch(ctx, gid, from, to, kind, payload)
+	resp, err := n.dispatch(ctx, gid, timeout, from, to, kind, payload)
 	n.obs.inflight.Add(-1)
 	n.obs.latency.ObserveDuration(time.Since(start))
 	if err != nil {
@@ -313,7 +321,7 @@ func (n *Network) CallGroup(ctx context.Context, gid uint64, from, to, kind stri
 	return resp, err
 }
 
-func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind string, payload any) (any, error) {
+func (n *Network) dispatch(ctx context.Context, gid uint64, timeout time.Duration, from, to, kind string, payload any) (any, error) {
 	n.mu.Lock()
 	step := n.calls
 	n.calls++
@@ -349,6 +357,14 @@ func (n *Network) dispatch(ctx context.Context, gid uint64, from, to, kind strin
 		delay += latency(from, to)
 	}
 	if delay > 0 {
+		if timeout > 0 && delay > timeout {
+			// The call's own budget runs out first.
+			err := sleepCtx(ctx, timeout)
+			if err == nil {
+				err = context.DeadlineExceeded
+			}
+			return nil, fmt.Errorf("%s -> %s (%s): %w", from, to, kind, err)
+		}
 		if err := sleepCtx(ctx, delay); err != nil {
 			return nil, fmt.Errorf("%s -> %s (%s): %w", from, to, kind, err)
 		}
