@@ -64,7 +64,6 @@ import (
 	"camcast/internal/obsv"
 	"camcast/internal/ring"
 	"camcast/internal/runtime"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
@@ -151,19 +150,10 @@ type Node interface {
 	Capacity() int
 	// MulticastContext sends payload to every group member (including
 	// this one) and returns the message ID; a canceled context abandons
-	// outstanding child sends. Multicast is the context-less form.
-	//
-	// Deprecated: Multicast is kept as a thin wrapper for existing
-	// callers; new code should pass a context via MulticastContext.
-	Multicast(payload []byte) (string, error)
+	// outstanding child sends.
 	MulticastContext(ctx context.Context, payload []byte) (string, error)
 	// RequestContext sends a unicast request to the member at addr; the
-	// remote member must have configured Options.OnRequest. Request is
-	// the context-less form.
-	//
-	// Deprecated: Request is kept as a thin wrapper for existing
-	// callers; new code should pass a context via RequestContext.
-	Request(addr string, payload []byte) ([]byte, error)
+	// remote member must have configured Options.OnRequest.
 	RequestContext(ctx context.Context, addr string, payload []byte) ([]byte, error)
 	// Stats returns a snapshot of the member's protocol counters.
 	Stats() Stats
@@ -295,20 +285,11 @@ type Options struct {
 	// cannot wedge a pooled connection (ListenTCP members only). Zero
 	// keeps the transport default (10s).
 	RPCTimeout time.Duration
-	// Codec selects the TCP wire encoding for payloads this member sends
-	// (ListenTCP members only): "binary" (default) uses the compact
-	// tagged encoding, "gob" forces the encoding/gob fallback for A/B
-	// comparison. Peers decode by tag, so members with different codecs
-	// interoperate.
-	Codec string
 	// GroupBacklogLimit bounds, per group and per connection, the bytes
 	// of unflushed outbound requests (ListenTCP and Group.Listen members
 	// only — members added to a shared host with Group.ListenOn inherit
 	// the host's HostOptions.GroupBacklogLimit). Zero disables the quota.
 	GroupBacklogLimit int
-
-	// Tracer optionally records protocol events.
-	Tracer *trace.Tracer
 
 	// Observer, if set, receives this member's protocol events (joins,
 	// forwards, repairs, deliveries) as they happen. Delivery is
@@ -527,18 +508,10 @@ func (m *Member) ID() uint64 { return m.node.Self().ID }
 // Capacity returns the member's multicast capacity c_x.
 func (m *Member) Capacity() int { return m.node.Capacity() }
 
-// Multicast sends payload to every group member (including this one) and
-// returns the message ID.
-//
-// Deprecated: use MulticastContext. Multicast remains a thin
-// background-context wrapper.
-func (m *Member) Multicast(payload []byte) (string, error) {
-	return m.node.Multicast(payload)
-}
-
-// MulticastContext is Multicast under a context: cancellation abandons
-// outstanding child sends without counting them as losses or triggering
-// repair — the caller gave up, the group did not fail.
+// MulticastContext sends payload to every group member (including this
+// one) and returns the message ID. Cancellation abandons outstanding child
+// sends without counting them as losses or triggering repair — the caller
+// gave up, the group did not fail.
 func (m *Member) MulticastContext(ctx context.Context, payload []byte) (string, error) {
 	return m.node.MulticastContext(ctx, payload)
 }
@@ -570,17 +543,9 @@ func (m *Member) Observe(fn func(Event)) (stop func()) {
 	return observe(m.net.bus, m.net.reg, m.addr, fn)
 }
 
-// Request sends a unicast request to the member at addr and returns its
-// response; the remote member must have configured Options.OnRequest.
-//
-// Deprecated: use RequestContext. Request remains a thin
-// background-context wrapper.
-func (m *Member) Request(addr string, payload []byte) ([]byte, error) {
-	return m.node.Request(addr, payload)
-}
-
-// RequestContext is Request under a context, which bounds or cancels the
-// round-trip.
+// RequestContext sends a unicast request to the member at addr and returns
+// its response; the remote member must have configured Options.OnRequest.
+// The context bounds or cancels the round-trip.
 func (m *Member) RequestContext(ctx context.Context, addr string, payload []byte) ([]byte, error) {
 	return m.node.RequestContext(ctx, addr, payload)
 }
@@ -645,6 +610,5 @@ func buildConfig(opts Options) (runtime.Config, error) {
 		ForwardParallel: opts.ForwardParallel,
 		RetryBackoff:    opts.RetryBackoff,
 		SuspicionWindow: opts.SuspicionWindow,
-		Tracer:          opts.Tracer,
 	}, nil
 }

@@ -16,8 +16,7 @@
 //
 // Flags: -protocol cam-chord|cam-koorde (default cam-chord); -tcp hosts
 // every member on its own real TCP listener (loopback sockets) instead of
-// the in-process simulated transport, and -codec binary|gob selects the
-// TCP wire encoding (ignored without -tcp); -debug-addr host:port serves
+// the in-process simulated transport; -debug-addr host:port serves
 // the live observability endpoint (/debug/camcast/{stats,neighbors,events}
 // plus net/http/pprof) while the REPL runs.
 package main
@@ -43,10 +42,9 @@ import (
 func main() {
 	protocol := flag.String("protocol", "cam-chord", "cam-chord | cam-koorde")
 	tcp := flag.Bool("tcp", false, "host each member on its own TCP listener instead of the in-process transport")
-	codec := flag.String("codec", "", "TCP wire codec: binary (default) or gob; requires -tcp")
 	debugAddr := flag.String("debug-addr", "", "serve the live debug endpoint (JSON stats, event tail, pprof) on this host:port")
 	flag.Parse()
-	if err := run(*protocol, *tcp, *codec, *debugAddr, os.Stdin, os.Stdout); err != nil {
+	if err := run(*protocol, *tcp, *debugAddr, os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "camnode:", err)
 		os.Exit(1)
 	}
@@ -85,7 +83,7 @@ type session struct {
 	deliverMu sync.Mutex
 }
 
-func run(protocolName string, tcp bool, codec, debugAddr string, in io.Reader, out io.Writer) error {
+func run(protocolName string, tcp bool, debugAddr string, in io.Reader, out io.Writer) error {
 	var protocol camcast.Protocol
 	switch protocolName {
 	case "cam-chord":
@@ -95,18 +93,12 @@ func run(protocolName string, tcp bool, codec, debugAddr string, in io.Reader, o
 	default:
 		return fmt.Errorf("unknown protocol %q", protocolName)
 	}
-	if codec != "" && !tcp {
-		return fmt.Errorf("-codec requires -tcp")
-	}
 
 	var grp group
 	mode := "in-process"
 	if tcp {
-		grp = newTCPGroup(codec)
+		grp = newTCPGroup()
 		mode = "tcp"
-		if codec != "" {
-			mode = "tcp, " + codec + " codec"
-		}
 	} else {
 		grp = newMemGroup()
 	}
@@ -436,21 +428,19 @@ func (g *memGroup) close() { g.net.Close() }
 // listeners register their flow under. The mutex covers the member map:
 // the REPL goroutine mutates it while the -debug-addr HTTP server reads it.
 type tcpGroup struct {
-	codec string
-	net   *camcast.Network
-	cur   *camcast.Group
+	net *camcast.Network
+	cur *camcast.Group
 
 	mu      sync.Mutex
 	members map[string]*camcast.TCPMember
 }
 
-func newTCPGroup(codec string) *tcpGroup {
+func newTCPGroup() *tcpGroup {
 	n := camcast.NewNetwork()
-	return &tcpGroup{codec: codec, net: n, cur: n.DefaultGroup(), members: make(map[string]*camcast.TCPMember)}
+	return &tcpGroup{net: n, cur: n.DefaultGroup(), members: make(map[string]*camcast.TCPMember)}
 }
 
 func (g *tcpGroup) tcpOptions(opts camcast.Options) camcast.Options {
-	opts.Codec = g.codec
 	// Loopback members tolerate tight failure-detection windows; keep the
 	// REPL snappy after a crash.
 	opts.DialTimeout = 2 * time.Second

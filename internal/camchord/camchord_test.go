@@ -391,8 +391,13 @@ func TestAppendNeighborNodesMatchesNeighborIDs(t *testing.T) {
 
 // TestAppendNeighborNodesAllocFree gates the perf fix: with a reused dst
 // buffer and a warmed scratch pool, neighbor resolution must not allocate
-// (the former implementation built a map[int]bool per call).
+// (the former implementation built a map[int]bool per call). Race builds
+// skip it: there sync.Pool drops a share of Puts on purpose, so the scratch
+// buffer regrows.
 func TestAppendNeighborNodesAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
 	n := randomNetwork(t, 14, 200, 2, 9, 12)
 	buf := make([]int, 0, 64)
 	pos := 0

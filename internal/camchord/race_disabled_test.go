@@ -1,0 +1,7 @@
+//go:build !race
+
+package camchord
+
+// raceEnabled reports whether the race detector instruments this build;
+// allocation gates skip under it.
+const raceEnabled = false

@@ -1,6 +1,7 @@
 package churnsim
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -457,7 +458,7 @@ func RunLive(cfg LiveConfig) (LiveResult, error) {
 		src := alive[srcIdx]
 		groupSize := len(liveIdxsOf(groupOf(srcIdx)))
 		start := time.Now()
-		msgID, err := src.Multicast([]byte("probe"))
+		msgID, err := src.MulticastContext(context.Background(), []byte("probe"))
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -235,7 +236,7 @@ func Run(log *Log) (*Outcome, error) {
 			if !ok {
 				return nil, fmt.Errorf("replay: step %d: multicast from %s which is not alive", step, Addr(rec.Idx))
 			}
-			msgID, err := node.Multicast(rec.Payload)
+			msgID, err := node.MulticastContext(context.Background(), rec.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("replay: step %d: multicast from %s: %w", step, Addr(rec.Idx), err)
 			}

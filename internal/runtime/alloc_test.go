@@ -5,24 +5,24 @@ import (
 	goruntime "runtime"
 	"testing"
 
+	"camcast/internal/obsv"
 	"camcast/internal/ring"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
 // TestUnobservedHotPathsAllocFree pins the satellite guarantee behind the
-// observed() guard: with no tracer attached and no bus subscriber, the
-// accounting turns of the delivery path — deliver, duplicate suppression —
-// allocate nothing. Without the guard, emitf's variadic arguments box into
-// a []any at every call site before emitf's own early return runs, which
-// is exactly the regression the dissemination 0 allocs/op gates would
-// catch much more expensively.
+// observed() guard: with no bus subscriber, the accounting turns of the
+// delivery path — deliver, duplicate suppression — allocate nothing.
+// Without the guard, emitf's variadic arguments box into a []any at every
+// call site before emitf's own early return runs, which is exactly the
+// regression the dissemination 0 allocs/op gates would catch much more
+// expensively.
 func TestUnobservedHotPathsAllocFree(t *testing.T) {
 	c := newCluster(t, ModeCAMChord, 16)
 	n := c.add("alloc-node", 4, "")
 
 	if n.observed() {
-		t.Fatal("node with no tracer and no subscriber reports observed")
+		t.Fatal("node with no bus subscriber reports observed")
 	}
 
 	d := Delivery{MsgID: "alloc-node#1", Payload: []byte("x"), Hops: 2}
@@ -35,24 +35,24 @@ func TestUnobservedHotPathsAllocFree(t *testing.T) {
 }
 
 // TestObservedHotPathsStillEmit proves the guard only skips work, never
-// events: the same turns emit their trace events once a tracer is attached.
+// events: the same turns emit their events once a bus subscriber attaches.
 func TestObservedHotPathsStillEmit(t *testing.T) {
-	tr := trace.NewTracer()
+	bus := obsv.NewBus()
 	c := newCluster(t, ModeCAMChord, 16)
-	c.tweak = func(cfg *Config) { cfg.Tracer = tr }
+	c.tweak = func(cfg *Config) { cfg.Bus = bus }
 	n := c.add("traced-node", 4, "")
+	sub := bus.Subscribe(4096)
+	defer sub.Close()
 	if !n.observed() {
-		t.Fatal("node with tracer attached reports unobserved")
+		t.Fatal("node with a bus subscriber reports unobserved")
 	}
-	before := len(tr.Events())
 	n.noteDuplicate("traced-node#9")
-	events := tr.Events()
-	if len(events) != before+1 {
-		t.Fatalf("noteDuplicate emitted %d events, want 1", len(events)-before)
+	events := sub.Drain(nil)
+	if len(events) != 1 {
+		t.Fatalf("noteDuplicate emitted %d events, want 1", len(events))
 	}
-	last := events[len(events)-1]
-	if got := fmt.Sprintf("%s/%s", last.Node, last.Detail); got != "traced-node/traced-node#9" {
-		t.Errorf("duplicate event = %q, want node traced-node detail traced-node#9", got)
+	if got := fmt.Sprintf("%s/%s/%s", events[0].Node, events[0].Kind, events[0].Detail); got != "traced-node/duplicate/traced-node#9" {
+		t.Errorf("duplicate event = %q, want node traced-node kind duplicate detail traced-node#9", got)
 	}
 }
 

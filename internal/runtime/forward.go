@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"camcast/internal/metrics"
+	"camcast/internal/obsv"
 	"camcast/internal/ring"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
@@ -240,7 +240,7 @@ func (n *Node) noteRetry(msgID, to string, attempt int, err error) {
 	n.retries.Add(1)
 	n.obs.retries.Inc()
 	n.countMetric(metrics.CounterForwardRetries)
-	n.emitf(trace.KindRetry, "%s attempt %d to %s: %v", msgID, attempt, to, err)
+	n.emitf(obsv.KindRetry, "%s attempt %d to %s: %v", msgID, attempt, to, err)
 }
 
 // noteRerouted accounts one segment a lookup routed around a stale table
@@ -334,7 +334,7 @@ func (n *Node) forwardSegment(ctx context.Context, msgID string, source NodeInfo
 				n.noteRerouted()
 			}
 			if n.observed() {
-				n.emitf(trace.KindForward, "%s -> segment end %d", msgID, cp.segEnd)
+				n.emitf(obsv.KindForward, "%s -> segment end %d", msgID, cp.segEnd)
 			}
 			return
 		}
@@ -401,7 +401,7 @@ func (n *Node) repairSegment(ctx context.Context, msgID string, source NodeInfo,
 		return
 	}
 	n.noteLost()
-	n.emitf(trace.KindLost, "%s segment end %d lost", msgID, cp.segEnd)
+	n.emitf(obsv.KindLost, "%s segment end %d lost", msgID, cp.segEnd)
 }
 
 // noteSkippedChild accounts the failed child a repair handoff went past.
@@ -414,7 +414,7 @@ func (n *Node) noteSkippedChild(msgID string, child NodeInfo) {
 		return
 	}
 	n.noteLost()
-	n.emitf(trace.KindLost, "%s unreachable child %s skipped by repair", msgID, child.Addr)
+	n.emitf(obsv.KindLost, "%s unreachable child %s skipped by repair", msgID, child.Addr)
 }
 
 // ringWalkHandoff is the last-resort repair path: walk the ring through
@@ -466,7 +466,7 @@ func (n *Node) noteRepaired(msgID string, segEnd ring.ID, to string) {
 	n.obs.repaired.Inc()
 	n.countMetric(metrics.CounterForwardRepaired)
 	n.forwarded.Add(1)
-	n.emitf(trace.KindRepair, "%s segment end %d handed to %s", msgID, segEnd, to)
+	n.emitf(obsv.KindRepair, "%s segment end %d handed to %s", msgID, segEnd, to)
 }
 
 // floodOne runs the offer/accept handshake and payload delivery for one
@@ -519,7 +519,7 @@ func (n *Node) floodOne(ctx context.Context, msgID string, source NodeInfo, payl
 		if err == nil {
 			n.noteAcked()
 			if n.observed() {
-				n.emitf(trace.KindForward, "%s -> %s", msgID, nb.Addr)
+				n.emitf(obsv.KindForward, "%s -> %s", msgID, nb.Addr)
 			}
 			return false, true
 		}
@@ -549,7 +549,7 @@ func (n *Node) refloodRepair(ctx context.Context, msgID string, source NodeInfo,
 		for i := 0; i < failedLive; i++ {
 			n.noteLost()
 		}
-		n.emitf(trace.KindLost, "%s %d neighbor(s) unreached", msgID, failedLive)
+		n.emitf(obsv.KindLost, "%s %d neighbor(s) unreached", msgID, failedLive)
 	}
 	if len(relays) == 0 || n.reflooded.Record(msgID) {
 		countLost()
@@ -574,5 +574,5 @@ func (n *Node) refloodRepair(ctx context.Context, msgID string, source NodeInfo,
 		n.obs.repaired.Inc()
 		n.countMetric(metrics.CounterForwardRepaired)
 	}
-	n.emitf(trace.KindRepair, "%s reflooded via %d relay(s) for %d failure(s)", msgID, sent, failedLive)
+	n.emitf(obsv.KindRepair, "%s reflooded via %d relay(s) for %d failure(s)", msgID, sent, failedLive)
 }

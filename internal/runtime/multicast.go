@@ -6,8 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"camcast/internal/obsv"
 	"camcast/internal/ring"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
@@ -75,7 +75,7 @@ func (n *Node) deliver(d Delivery) {
 	n.delivered.Add(1)
 	n.obs.delivered.Inc()
 	if n.observed() {
-		n.emitf(trace.KindDeliver, "%s hops=%d", d.MsgID, d.Hops)
+		n.emitf(obsv.KindDeliver, "%s hops=%d", d.MsgID, d.Hops)
 	}
 	if n.cfg.OnDeliver != nil {
 		n.cfg.OnDeliver(d)
@@ -87,7 +87,7 @@ func (n *Node) noteDuplicate(msgID string) {
 	n.duplicates.Add(1)
 	n.obs.duplicates.Inc()
 	if n.observed() {
-		n.emitf(trace.KindDuplicate, "%s", msgID)
+		n.emitf(obsv.KindDuplicate, "%s", msgID)
 	}
 }
 

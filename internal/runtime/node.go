@@ -26,7 +26,6 @@ import (
 	"camcast/internal/obsv"
 	"camcast/internal/ring"
 	"camcast/internal/timing"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
@@ -177,11 +176,9 @@ type Config struct {
 	// Node.Request (e.g. retransmission NACKs from a reliability layer).
 	// nil rejects such requests.
 	OnRequest func(from string, payload []byte) ([]byte, error)
-	// Tracer optionally records protocol events; nil discards.
-	Tracer *trace.Tracer
-	// Bus optionally publishes the same protocol events to live
-	// subscribers (debug endpoints, observers); nil discards. Emission is
-	// one atomic load when nobody is subscribed.
+	// Bus optionally publishes protocol events to live subscribers (debug
+	// endpoints, observers, test assertions); nil discards. Emission is one
+	// atomic load when nobody is subscribed.
 	Bus *obsv.Bus
 	// Metrics optionally accumulates hot-path measurements — forwarding
 	// outcomes, lookup hop counts, multicast tree build time — under the
@@ -549,7 +546,7 @@ func (n *Node) Bootstrap() error {
 
 	n.net.Register(n.self.Addr, n.handleRPC)
 	n.startLoops()
-	n.emitf(trace.KindJoin, "bootstrap id=%d", n.self.ID)
+	n.emitf(obsv.KindJoin, "bootstrap id=%d", n.self.ID)
 	return nil
 }
 
@@ -588,7 +585,7 @@ func (n *Node) Join(bootstrapAddr string) error {
 	n.StabilizeOnce()
 	n.startLoops()
 	n.obs.joinTime.ObserveDuration(time.Since(start))
-	n.emitf(trace.KindJoin, "joined via %s, successor %s", bootstrapAddr, succ.Addr)
+	n.emitf(obsv.KindJoin, "joined via %s, successor %s", bootstrapAddr, succ.Addr)
 	return nil
 }
 
@@ -620,7 +617,7 @@ func (n *Node) Leave() error {
 		_, _ = n.call(pred.Addr, kindLeaving, leavingReq{Departing: n.self, NewSucc: succ})
 	}
 	n.obs.leaveTime.ObserveDuration(time.Since(start))
-	n.emit(trace.KindLeave, "graceful")
+	n.emit(obsv.KindLeave, "graceful")
 	n.Stop()
 	return nil
 }
@@ -898,7 +895,7 @@ func (n *Node) handleLeaving(req leavingReq) (any, error) {
 		}
 	}
 	n.noteTopologyChange()
-	n.emitf(trace.KindRepair, "spliced out %s", req.Departing.Addr)
+	n.emitf(obsv.KindRepair, "spliced out %s", req.Departing.Addr)
 	return leavingResp{Acked: true}, nil
 }
 
@@ -1009,7 +1006,7 @@ func (n *Node) dropSuccessor(dead NodeInfo) {
 	if head, ok := n.succHeadLocked(); ok && head.Addr == dead.Addr {
 		n.popSuccLocked()
 		n.noteTopologyChange()
-		n.emitf(trace.KindRepair, "dropped dead successor %s", dead.Addr)
+		n.emitf(obsv.KindRepair, "dropped dead successor %s", dead.Addr)
 	}
 }
 

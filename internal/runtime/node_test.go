@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"camcast/internal/obsv"
 	"camcast/internal/ring"
-	"camcast/internal/trace"
 	"camcast/internal/transport"
 )
 
@@ -255,11 +255,13 @@ func TestConcurrentMulticastSources(t *testing.T) {
 func TestBackgroundLoopsRunAndStop(t *testing.T) {
 	net := transport.NewNetwork(1)
 	space := ring.MustSpace(16)
-	tr := trace.NewTracer()
+	bus := obsv.NewBus()
+	sub := bus.Subscribe(4096)
+	defer sub.Close()
 	cfg := Config{
 		Space: space, Mode: ModeCAMChord, Capacity: 4,
 		StabilizeEvery: time.Millisecond, FixEvery: time.Millisecond,
-		Tracer: tr,
+		Bus: bus,
 	}
 	a, err := NewNode(net, "a", cfg)
 	if err != nil {
@@ -332,8 +334,10 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestTracerRecordsProtocolEvents(t *testing.T) {
 	net := transport.NewNetwork(1)
-	tr := trace.NewTracer()
-	cfg := Config{Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 4, Tracer: tr}
+	bus := obsv.NewBus()
+	sub := bus.Subscribe(4096)
+	defer sub.Close()
+	cfg := Config{Space: ring.MustSpace(16), Mode: ModeCAMChord, Capacity: 4, Bus: bus}
 	a, _ := NewNode(net, "a", cfg)
 	if err := a.Bootstrap(); err != nil {
 		t.Fatal(err)
@@ -342,13 +346,22 @@ func TestTracerRecordsProtocolEvents(t *testing.T) {
 	if err := b.Join("a"); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Count(trace.KindJoin) != 2 {
-		t.Errorf("join events = %d, want 2", tr.Count(trace.KindJoin))
+	count := func(events []obsv.Event, kind obsv.Kind) int {
+		n := 0
+		for _, e := range events {
+			if e.Kind == kind {
+				n++
+			}
+		}
+		return n
+	}
+	if got := count(sub.Drain(nil), obsv.KindJoin); got != 2 {
+		t.Errorf("join events = %d, want 2", got)
 	}
 	if _, err := a.Multicast([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Count(trace.KindDeliver) == 0 {
+	if count(sub.Drain(nil), obsv.KindDeliver) == 0 {
 		t.Error("no deliver events recorded")
 	}
 	b.Stop()

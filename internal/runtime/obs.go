@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"camcast/internal/obsv"
-	"camcast/internal/trace"
 )
 
 // nodeObs caches a node's observability handles: the live event bus plus
@@ -56,17 +55,15 @@ func newNodeObs(bus *obsv.Bus, reg *obsv.Registry) nodeObs {
 	}
 }
 
-// emit publishes one protocol event to both consumers: the synchronous
-// tracer (test assertions) and the live bus (streaming subscribers).
-func (n *Node) emit(kind trace.Kind, detail string) {
-	n.cfg.Tracer.Emit(n.self.Addr, kind, detail)
+// emit publishes one protocol event to the node's bus.
+func (n *Node) emit(kind obsv.Kind, detail string) {
 	n.obs.bus.Emit(n.self.Addr, kind, detail)
 }
 
 // emitf is emit with lazy formatting: the detail string is built only when
-// a tracer is attached or a bus subscriber is watching, so unobserved
-// protocol paths skip the fmt call entirely.
-func (n *Node) emitf(kind trace.Kind, format string, args ...any) {
+// a bus subscriber is watching, so unobserved protocol paths skip the fmt
+// call entirely.
+func (n *Node) emitf(kind obsv.Kind, format string, args ...any) {
 	if !n.observed() {
 		return
 	}
@@ -82,5 +79,5 @@ func (n *Node) emitf(kind trace.Kind, format string, args ...any) {
 // the boxing moves behind it, which is what the 0 allocs/op dissemination
 // gates measure.
 func (n *Node) observed() bool {
-	return n.cfg.Tracer != nil || n.obs.bus.Active()
+	return n.obs.bus.Active()
 }

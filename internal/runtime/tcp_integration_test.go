@@ -94,7 +94,8 @@ func TestMulticastOverTCP(t *testing.T) {
 }
 
 // TestLookupOverTCP verifies that recursive find_successor chains work
-// across sockets, including the gob round-trip of every wire type involved.
+// across sockets, including the binary wire round trip of every payload
+// type involved.
 func TestLookupOverTCP(t *testing.T) {
 	RegisterWireTypes()
 	space := ring.MustSpace(16)

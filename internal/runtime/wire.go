@@ -30,7 +30,8 @@ type NodeInfo struct {
 func (i NodeInfo) zero() bool { return i.Addr == "" }
 
 type pingReq struct {
-	// Probe is reserved; gob requires at least one exported field.
+	// Probe is reserved; encoding/gob, the codec tests' reference, needs
+	// at least one exported field.
 	Probe bool
 }
 
@@ -60,7 +61,8 @@ type findSuccResp struct {
 }
 
 type neighborsReq struct {
-	// Full is reserved; gob requires at least one exported field.
+	// Full is reserved; encoding/gob, the codec tests' reference, needs
+	// at least one exported field.
 	Full bool
 }
 
@@ -95,7 +97,7 @@ type multicastReq struct {
 	// writer sends the blob's bytes under Payload's framing). Decoded
 	// requests hold one reference, released by the transport after the
 	// handler returns; re-sends share the same blob so a relay never
-	// re-encodes the payload. Never transits gob (unexported).
+	// re-encodes the payload. Unexported: never encoded itself.
 	blob *transport.Blob
 }
 

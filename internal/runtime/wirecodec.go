@@ -10,8 +10,8 @@ import (
 // implements transport.WireMarshaler; registerBinaryWireTypes installs the
 // matching decoders. The encoding mirrors the field order of the structs —
 // varints for integers, length-prefixed strings/bytes, presence bytes for
-// optional fields — and round-trips values identically to the gob fallback
-// it replaces (wirecodec_test.go verifies this per type).
+// optional fields — and round-trips values identically to encoding/gob
+// (wirecodec_test.go verifies this per type).
 
 // Wire type tags, one per payload type, starting at WireTagUserMin.
 const (
@@ -197,7 +197,7 @@ func decodeNotifyResp(b []byte) (any, error) {
 // AppendWireHead emits everything up to and including the payload's length
 // framing, and the payload bytes themselves ride out of the shared blob via
 // the transport's scatter-gather writer. AppendWire stays the canonical
-// (equivalent) whole-value encoding for the gob A/B tests, fuzzers, and
+// (equivalent) whole-value encoding for the codec tests, fuzzers, and
 // blob-less sends.
 
 func (multicastReq) WireTag() byte { return tagMulticastReq }

@@ -19,20 +19,20 @@ func FuzzParseFrame(f *testing.F) {
 	benchRegisterOnce.Do(func() { registerBenchPayload() })
 	registerBlobTestPayload()
 	// Seed with well-formed request and response frame bodies, covering the
-	// gob fallback, the plain binary codec, and the blob-backed payload.
-	req, err := appendRequestBody(nil, 7, 0, "from", "to", "kind", benchPayload{Key: "k", Value: []byte{1, 2}, Seq: 3}, CodecBinary)
+	// plain binary payload, the blob-backed payload, and an error response.
+	req, err := appendRequestBody(nil, 7, 0, "from", "to", "kind", benchPayload{Key: "k", Value: []byte{1, 2}, Seq: 3})
 	if err != nil {
 		f.Fatal(err)
 	}
-	breq, err := appendRequestBody(nil, 9, 5, "from", "to", "kind", blobTestPayload{Key: "k", Data: []byte{4, 5, 6}}, CodecBinary)
+	breq, err := appendRequestBody(nil, 9, 5, "from", "to", "kind", blobTestPayload{Key: "k", Data: []byte{4, 5, 6}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	resp, err := appendResponseBody(nil, 7, 0, "", 0, benchPayload{Key: "k"}, CodecGob)
+	resp, err := appendResponseBody(nil, 7, 0, "", 0, benchPayload{Key: "k"})
 	if err != nil {
 		f.Fatal(err)
 	}
-	eresp, err := appendResponseBody(nil, 8, 0, "lookup failed", 1, nil, CodecBinary)
+	eresp, err := appendResponseBody(nil, 8, 0, "lookup failed", 1, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func FuzzScatterGatherFrame(f *testing.F) {
 
 		conn := &captureConn{}
 		w := newFrameWriter(conn, func() time.Duration { return 0 }, 0, &instruments{})
-		werr := w.writeRequest(42, 3, "from", "to", "kind", p, CodecBinary, true)
+		werr := w.writeRequest(42, 3, "from", "to", "kind", p, true)
 		w.close()
 		if p.blob != nil {
 			p.blob.Release()
@@ -170,7 +170,7 @@ func FuzzScatterGatherFrame(f *testing.F) {
 		}
 
 		// The gathered encoding must be byte-identical to the linear one.
-		linear, err := appendRequestBody(nil, 42, 3, "from", "to", "kind", p, CodecBinary)
+		linear, err := appendRequestBody(nil, 42, 3, "from", "to", "kind", p)
 		if err != nil {
 			t.Fatalf("appendRequestBody: %v", err)
 		}

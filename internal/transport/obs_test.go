@@ -13,6 +13,7 @@ import (
 // registry observed the traffic: round-trip latencies, call/served counts,
 // and at least one socket flush with a recorded batch size.
 func TestTCPInstrumented(t *testing.T) {
+	registerEchoPayload()
 	reg := obsv.NewRegistry()
 
 	srv, err := NewTCP("127.0.0.1:0")
@@ -41,13 +42,13 @@ func TestTCPInstrumented(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := cli.Call(context.Background(), "cli", srv.Addr(), "echo", "hi"); err != nil {
+			if _, err := cli.Call(context.Background(), "cli", srv.Addr(), "echo", echoPayload{Value: 1}); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if _, err := cli.Call(context.Background(), "cli", srv.Addr(), "boom", "x"); err == nil {
+	if _, err := cli.Call(context.Background(), "cli", srv.Addr(), "boom", echoPayload{}); err == nil {
 		t.Fatal("handler error did not propagate")
 	}
 

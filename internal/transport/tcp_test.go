@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
@@ -11,22 +10,32 @@ import (
 	"time"
 )
 
-// echoPayload is the test payload carried over gob.
+// echoPayload is the small test payload most transport tests carry.
 type echoPayload struct {
 	Value int
 }
 
-var registerOnce sync.Once
+const echoWireTag byte = 0xF2
 
-func gobSetup() {
-	registerOnce.Do(func() {
-		gob.Register(echoPayload{})
-	})
+func (echoPayload) WireTag() byte { return echoWireTag }
+
+func (p echoPayload) AppendWire(b []byte) []byte { return AppendVarint(b, int64(p.Value)) }
+
+func decodeEchoPayload(b []byte) (any, error) {
+	r := NewWireReader(b)
+	p := echoPayload{Value: int(r.Varint())}
+	return p, r.Finish()
+}
+
+var echoRegisterOnce sync.Once
+
+func registerEchoPayload() {
+	echoRegisterOnce.Do(func() { RegisterWireDecoder(echoWireTag, decodeEchoPayload) })
 }
 
 func newTCPPair(t *testing.T) (*TCP, *TCP) {
 	t.Helper()
-	gobSetup()
+	registerEchoPayload()
 	a, err := NewTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +98,59 @@ func TestTCPHandlerError(t *testing.T) {
 	}
 }
 
+// unencodable has no wire encoding, so it cannot cross a TCP connection.
+type unencodable struct{ X int }
+
+// TestTCPUnencodablePayload verifies that a payload type with no wire
+// encoding fails fast in either direction — never by timing out — and
+// leaves the connection and the peer's standing intact.
+func TestTCPUnencodablePayload(t *testing.T) {
+	const prompt = 2 * time.Second // far below the 10 s RPCTimeout
+	t.Run("request", func(t *testing.T) {
+		a, b := newTCPPair(t)
+		b.Register(b.Addr(), func(from, kind string, payload any) (any, error) {
+			return payload, nil
+		})
+		start := time.Now()
+		_, err := a.Call(context.Background(), "client", b.Addr(), "x", unencodable{X: 1})
+		if err == nil || !strings.Contains(err.Error(), "transport.unencodable") {
+			t.Fatalf("err = %v, want an encode error naming the type", err)
+		}
+		if d := time.Since(start); d > prompt {
+			t.Fatalf("unencodable request failed after %v", d)
+		}
+		if errors.Is(err, ErrUnreachable) || !a.Registered(b.Addr()) {
+			t.Fatalf("a local encode failure blamed the peer: %v", err)
+		}
+		a.mu.Lock()
+		conn := a.conns[b.Addr()]
+		a.mu.Unlock()
+		resp, err := a.Call(context.Background(), "client", b.Addr(), "x", echoPayload{Value: 3})
+		if err != nil || resp.(echoPayload).Value != 3 {
+			t.Fatalf("call after encode error: %v, %v", resp, err)
+		}
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if conn == nil || a.conns[b.Addr()] != conn {
+			t.Fatal("the encode error replaced the connection")
+		}
+	})
+	t.Run("response", func(t *testing.T) {
+		a, b := newTCPPair(t)
+		b.Register(b.Addr(), func(from, kind string, payload any) (any, error) {
+			return unencodable{X: 2}, nil
+		})
+		start := time.Now()
+		_, err := a.Call(context.Background(), "client", b.Addr(), "x", echoPayload{})
+		if err == nil || !strings.Contains(err.Error(), "transport: encode response") {
+			t.Fatalf("err = %v, want a transport: encode response error", err)
+		}
+		if d := time.Since(start); d > prompt {
+			t.Fatalf("unencodable response failed after %v", d)
+		}
+	})
+}
+
 func TestTCPUnknownEndpoint(t *testing.T) {
 	a, b := newTCPPair(t)
 	_, err := a.Call(context.Background(), "client", b.Addr(), "x", echoPayload{}) // nothing registered at b
@@ -98,7 +160,7 @@ func TestTCPUnknownEndpoint(t *testing.T) {
 }
 
 func TestTCPUnreachableAndSuspicion(t *testing.T) {
-	gobSetup()
+	registerEchoPayload()
 	a, err := NewTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +254,7 @@ func TestTCPNestedCalls(t *testing.T) {
 }
 
 func TestTCPCloseIdempotentAndRejects(t *testing.T) {
-	gobSetup()
+	registerEchoPayload()
 	a, err := NewTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

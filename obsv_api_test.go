@@ -72,7 +72,7 @@ func TestObserverSeesMemberEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Settle(3)
-	if _, err := a.Multicast([]byte("observed")); err != nil {
+	if _, err := a.MulticastContext(context.Background(), []byte("observed")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,7 +115,7 @@ func TestNetworkObserveStop(t *testing.T) {
 		}
 	})
 	src, _ := net.Member(addrs[0])
-	if _, err := src.Multicast([]byte("watched")); err != nil {
+	if _, err := src.MulticastContext(context.Background(), []byte("watched")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -135,7 +135,7 @@ func TestNetworkObserveStop(t *testing.T) {
 
 	stop()
 	stop() // idempotent
-	if _, err := src.Multicast([]byte("unwatched")); err != nil {
+	if _, err := src.MulticastContext(context.Background(), []byte("unwatched")); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -153,7 +153,7 @@ func TestNetworkObserveStop(t *testing.T) {
 func TestMetricsAndCountersSnapshot(t *testing.T) {
 	net, col, addrs := buildGroup(t, CAMChord, 10, 4)
 	src, _ := net.Member(addrs[2])
-	msgID, err := src.Multicast([]byte("measured"))
+	msgID, err := src.MulticastContext(context.Background(), []byte("measured"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestMetricsAndCountersSnapshot(t *testing.T) {
 func TestDebugHandlerHTTP(t *testing.T) {
 	net, _, addrs := buildGroup(t, CAMChord, 5, 4)
 	src, _ := net.Member(addrs[0])
-	if _, err := src.Multicast([]byte("debug me")); err != nil {
+	if _, err := src.MulticastContext(context.Background(), []byte("debug me")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -27,10 +27,6 @@ type HostOptions struct {
 	// cannot wedge a pooled connection. Zero keeps the transport default
 	// (10s).
 	RPCTimeout time.Duration
-	// Codec selects the wire encoding for payloads this host's members
-	// send: "binary" (default) or "gob". Peers decode by tag, so hosts
-	// with different codecs interoperate.
-	Codec string
 	// GroupBacklogLimit bounds, per group and per connection, the bytes
 	// of unflushed outbound requests before further sends from that group
 	// fail with a backlog error instead of growing the buffer — the
@@ -63,16 +59,11 @@ type TCPHost struct {
 // NewTCPHost starts a TCP transport listening at listenAddr (use
 // "127.0.0.1:0" to pick a free port) with no members yet.
 func NewTCPHost(listenAddr string, opts HostOptions) (*TCPHost, error) {
-	codec, err := transport.ParseCodec(opts.Codec)
-	if err != nil {
-		return nil, err
-	}
 	runtime.RegisterWireTypes()
 	tr, err := transport.NewTCP(listenAddr)
 	if err != nil {
 		return nil, err
 	}
-	tr.Codec = codec
 	if opts.SuspicionWindow > 0 {
 		tr.SuspicionWindow = opts.SuspicionWindow
 	}
@@ -180,7 +171,7 @@ func (h *TCPHost) remove(gid uint64) {
 }
 
 // listenOn starts a member of the given group on this host. Transport
-// settings in opts (SuspicionWindow, DialTimeout, RPCTimeout, Codec) are
+// settings in opts (SuspicionWindow, DialTimeout, RPCTimeout) are
 // ignored here — they were fixed when the host was built.
 func (h *TCPHost) listenOn(gid uint64, group, via string, opts Options, owns bool) (*TCPMember, error) {
 	cfg, err := buildConfig(opts)
@@ -286,7 +277,6 @@ func hostOptions(opts Options) HostOptions {
 		SuspicionWindow:   opts.SuspicionWindow,
 		DialTimeout:       opts.DialTimeout,
 		RPCTimeout:        opts.RPCTimeout,
-		Codec:             opts.Codec,
 		GroupBacklogLimit: opts.GroupBacklogLimit,
 	}
 }
@@ -355,17 +345,9 @@ func (m *TCPMember) Group() string { return m.group }
 // Host returns the TCPHost carrying this member.
 func (m *TCPMember) Host() *TCPHost { return m.host }
 
-// Multicast sends payload to every group member (including this one) and
-// returns the message ID.
-//
-// Deprecated: use MulticastContext. Multicast remains a thin
-// background-context wrapper.
-func (m *TCPMember) Multicast(payload []byte) (string, error) {
-	return m.node.Multicast(payload)
-}
-
-// MulticastContext is Multicast under a context: cancellation abandons
-// outstanding child sends without counting them as losses.
+// MulticastContext sends payload to every group member (including this
+// one) and returns the message ID. Cancellation abandons outstanding child
+// sends without counting them as losses.
 func (m *TCPMember) MulticastContext(ctx context.Context, payload []byte) (string, error) {
 	return m.node.MulticastContext(ctx, payload)
 }
@@ -400,17 +382,9 @@ func (m *TCPMember) DebugHandler() http.Handler {
 	}.Handler()
 }
 
-// Request sends a unicast request to the member at addr; the remote member
-// must have configured Options.OnRequest.
-//
-// Deprecated: use RequestContext. Request remains a thin
-// background-context wrapper.
-func (m *TCPMember) Request(addr string, payload []byte) ([]byte, error) {
-	return m.node.Request(addr, payload)
-}
-
-// RequestContext is Request under a context, which bounds or cancels the
-// round-trip.
+// RequestContext sends a unicast request to the member at addr; the remote
+// member must have configured Options.OnRequest. The context bounds or
+// cancels the round-trip.
 func (m *TCPMember) RequestContext(ctx context.Context, addr string, payload []byte) ([]byte, error) {
 	return m.node.RequestContext(ctx, addr, payload)
 }
